@@ -181,7 +181,11 @@ def factorize(n: int) -> Factorization:
     found: dict[int, int] = {}
     for p in _primes():
         if p * p > n:
-            break
+            # every prime below p is divided out and p*p > n, so n is 1
+            # or a prime: no primality test is needed
+            if n > 1:
+                found[n] = 1
+            return Factorization(tuple(sorted(found.items())))
         while n % p == 0:
             found[p] = found.get(p, 0) + 1
             n //= p

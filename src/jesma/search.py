@@ -20,6 +20,7 @@ from .triples import Triple
 __all__ = [
     "DegenerateBaseError",
     "EquationInstance",
+    "SelfCheckError",
     "SearchReport",
     "find_solutions",
     "find_solutions_scaled",
@@ -32,6 +33,18 @@ class DegenerateBaseError(ValueError):
     """Raised for bases <= 1: with a base of 1 the equation collapses to a
     parametric family with a free exponent (Cao's counterexamples to the
     first Terai conjecture), so there is no finite solution set to report."""
+
+
+class SelfCheckError(RuntimeError):
+    """A reported solution failed exact re-substitution into its equation.
+
+    This is a bug in the scan, not bad input.  It is raised, not asserted,
+    so the check also runs under python -O."""
+
+
+def _self_check(holds: bool, solution: tuple[int, int, int], equation: str) -> None:
+    if not holds:
+        raise SelfCheckError(f"{solution} does not satisfy {equation}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +141,7 @@ def find_solutions(
         found = _scan_rows(a, b, c, range(1, x_max + 1), y_max)
     solutions = tuple(sorted(set(found)))
     for x, y, z in solutions:  # self-check by exact substitution
-        assert _verify_general(a, b, c, x, y, z)
+        _self_check(_verify_general(a, b, c, x, y, z), (x, y, z), f"{a}^x + {b}^y = {c}^z")
     inst = EquationInstance(form, a // k, b // k, c // k, k, tag) if k > 1 else EquationInstance(form, a, b, c, 1, tag)
     return SearchReport(inst, x_max, y_max, solutions, x_max * y_max, time.perf_counter() - start)
 
@@ -173,7 +186,7 @@ def find_terai_solutions(
             bm *= b
         cn *= c
     for x, m, n in out:
-        assert x * x + b**m == c**n
+        _self_check(x * x + b**m == c**n, (x, m, n), f"x^2 + {b}^m = {c}^n")
     return out
 
 
@@ -202,7 +215,11 @@ def find_eisenstein_solutions(
             by *= b
         ax *= a
     for x, y, z in out:
-        assert a ** (2 * x) + a**x * b**y + b ** (2 * y) == c**z
+        _self_check(
+            a ** (2 * x) + a**x * b**y + b ** (2 * y) == c**z,
+            (x, y, z),
+            f"{a}^2x + {a}^x*{b}^y + {b}^2y = {c}^z",
+        )
     return out
 
 

@@ -283,24 +283,66 @@ def congruence_solutions(
     relevant_congruences = [
         (lin, cm) for lin, cm in constraints.congruences if lin.variables() <= set(names)
     ]
+    offset, compiled = _compile_terms(live, names, periods, m)
     solutions: set[tuple[int, ...]] = set()
     for combo in iproduct(*candidates):
-        values = dict(zip(names, combo))
-        if any(lin.evaluate(values) % cm != 0 for lin, cm in relevant_congruences):
-            continue
-        total = 0
-        for const_part, evals in live:
-            t = const_part
-            for ep in evals:
-                if ep.atom is not None:
-                    e = (values[ep.atom] + ep.exp.off) % ep.order
-                else:
-                    e = ep.exp.lin.evaluate(values) % ep.order
-                t = t * pow(ep.base, e, m) % m
-            total = (total + t) % m
-        if total == 0:
-            solutions.add(tuple(combo))
+        if relevant_congruences:
+            values = dict(zip(names, combo))
+            if any(lin.evaluate(values) % cm != 0 for lin, cm in relevant_congruences):
+                continue
+        # exact products of table entries, reduced once per cell
+        total = offset
+        for t, tables in compiled:
+            for i, table in tables:
+                t *= table[combo[i]]
+            total += t
+        if total % m == 0:
+            solutions.add(combo)
     return ResidueClassSet(m, names, periods, frozenset(solutions))
+
+
+def _compile_terms(
+    live: list[tuple[int, list[_EvalPower]]],
+    names: tuple[str, ...],
+    periods: tuple[int, ...],
+    m: int,
+) -> tuple[int, list[tuple[int, list[tuple[int, list[int]]]]]]:
+    """Residue tables that turn each torus cell into list lookups.
+
+    A term becomes a coefficient and, per torus variable it uses, a table
+    F with F[v] = prod(base ** (k*v mod order)) mod m over its powers,
+    where k is the variable's coefficient in the exponent (1 for a
+    symbol atom).  Exponent constants and atom offsets fold into the
+    coefficient, and terms with no variables into one offset.
+
+    Splitting base ** (sum of parts) into a product and reducing each
+    part modulo the order is exact: _build_plan admits only unit bases
+    for varying exponents, so base ** order == 1 (mod m), and each base's
+    order divides the period of every variable it feeds, so F[v] holds
+    for every integer congruent to v modulo that period.
+    """
+    index = {name: i for i, name in enumerate(names)}
+    offset = 0
+    compiled = []
+    for const_part, evals in live:
+        if not evals:
+            offset += const_part
+            continue
+        coef = const_part
+        tables: dict[int, list[int]] = {}
+        for ep in evals:
+            if ep.atom is not None:
+                parts, shift = ((ep.atom, 1),), ep.exp.off
+            else:
+                parts, shift = ep.exp.lin.coeffs, ep.exp.lin.const
+            coef = coef * pow(ep.base, shift % ep.order, m) % m
+            for name, k in parts:
+                i = index[name]
+                row = [pow(ep.base, k * v % ep.order, m) for v in range(periods[i])]
+                old = tables.get(i)
+                tables[i] = row if old is None else [a * b % m for a, b in zip(old, row)]
+        compiled.append((coef, sorted(tables.items())))
+    return offset, compiled
 
 
 def two_term_solutions(

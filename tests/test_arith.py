@@ -70,6 +70,12 @@ def test_factorize_examples():
 def test_factorize_large_semiprime():
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q).pairs == ((p, 1), (q, 1))
+    # cofactors that outlast trial division must still be split, not
+    # taken as prime
+    assert factorize(12 * p * q).pairs == ((2, 2), (3, 1), (p, 1), (q, 1))
+    assert factorize(p * p).pairs == ((p, 2),)
+    big = 1_000_000_000_039
+    assert factorize(6 * big).pairs == ((2, 1), (3, 1), (big, 1))
 
 
 def test_perfect_power_examples():

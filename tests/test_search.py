@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jesma
 from jesma.search import (
     DegenerateBaseError,
+    SelfCheckError,
     find_eisenstein_solutions,
     find_solutions,
     find_solutions_scaled,
@@ -104,3 +110,30 @@ def test_parallel_matches_serial():
     serial = find_solutions(3, 2, 5, 25, 25, threads=1)
     parallel = find_solutions(3, 2, 5, 25, 25, threads=3)
     assert serial.solutions == parallel.solutions
+
+
+def test_self_check_rejects_wrong_solution(monkeypatch):
+    # a scan that reports a wrong z must be caught by the exact re-check
+    monkeypatch.setattr("jesma.search.is_perfect_power_of", lambda s, base: 3)
+    with pytest.raises(SelfCheckError):
+        find_solutions(3, 4, 5, 2, 2)
+    with pytest.raises(SelfCheckError):
+        find_eisenstein_solutions(3, 5, 7, 2, 2)
+
+
+def test_self_check_survives_optimize_flag():
+    code = (
+        "import jesma.search as s\n"
+        "s.is_perfect_power_of = lambda n, base: 3\n"
+        "try:\n"
+        "    s.find_solutions(3, 4, 5, 2, 2)\n"
+        "except s.SelfCheckError:\n"
+        "    print('caught')\n"
+    )
+    src = Path(jesma.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "caught"

@@ -1,15 +1,20 @@
+import itertools
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jesma import sieve
 from jesma.sieve import (
     ConstraintSet,
     NotAUnitError,
+    ResidueClassSet,
     SieveError,
     congruence_solutions,
     find_killing_modulus,
     two_term_solutions,
 )
-from jesma.symbolic import ExpExpr, Lin, Term
+from jesma.symbolic import ExpExpr, Lin, Power, Term
 
 
 def v(name):
@@ -204,3 +209,116 @@ def test_order_cap_skips_heavy_moduli():
     w = find_killing_modulus(KILL_TERMS, ConstraintSet.none().with_parity("z", 0), m_max=100, order_cap=2)
     # with a tiny order cap most moduli are skipped, but 17 needs order 8 for 2
     assert w is None or w.modulus != 17
+
+
+def _reference_solutions(terms, m, constraints, order_cap):
+    """Per-cell evaluator: a pow per power per torus cell, no tables."""
+    live, plan = sieve._build_plan(terms, m, constraints, order_cap)
+    names = tuple(n for n, _ in plan)
+    periods = tuple(p for _, p in plan)
+    if constraints.unsatisfiable_names():
+        return ResidueClassSet(m, names, periods, frozenset())
+    candidates = []
+    for name, period in plan:
+        if name in constraints.fixed:
+            value = constraints.fixed[name]
+            candidates.append([value % period] if constraints.residue_allows(name, value) else [])
+        else:
+            candidates.append([r for r in range(period) if constraints.residue_allows(name, r)])
+    relevant = [(lin, cm) for lin, cm in constraints.congruences if lin.variables() <= set(names)]
+    solutions = set()
+    for combo in itertools.product(*candidates):
+        values = dict(zip(names, combo))
+        if any(lin.evaluate(values) % cm != 0 for lin, cm in relevant):
+            continue
+        total = 0
+        for const_part, evals in live:
+            t = const_part
+            for ep in evals:
+                if ep.atom is not None:
+                    e = (values[ep.atom] + ep.exp.off) % ep.order
+                else:
+                    e = ep.exp.lin.evaluate(values) % ep.order
+                t = t * pow(ep.base, e, m) % m
+            total = (total + t) % m
+        if total == 0:
+            solutions.add(combo)
+    return ResidueClassSet(m, names, periods, frozenset(solutions))
+
+
+VARS = ("x", "y", "z")
+ATOM_LINS = (Lin.var("x"), Lin.of(0, x=1, y=-1))
+lins = st.builds(
+    lambda coeffs, const: Lin.of(const, **coeffs),
+    st.dictionaries(st.sampled_from(VARS), st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=3),
+    st.integers(-3, 3),
+)
+const_exponents = st.builds(lambda c: ExpExpr(Lin.const_of(c)), st.integers(-1, 9))
+exponents = st.one_of(
+    st.builds(ExpExpr, lins),
+    st.builds(ExpExpr, st.one_of(st.sampled_from(ATOM_LINS), lins), st.just("r"), st.integers(-2, 3)),
+    const_exponents,
+)
+
+
+def _terms(exps, min_powers):
+    return st.builds(
+        lambda coef, powers: Term(coef, tuple(Power(b, e) for b, e in powers)),
+        st.sampled_from([1, -1, 2, -2, 3, -3, 5, -7, 9]),
+        st.lists(st.tuples(st.integers(2, 30), exps), min_size=min_powers, max_size=3),
+    )
+
+
+# varying terms, plus at most one variable-free term of constant powers
+terms_st = st.builds(
+    lambda varying, fixed: varying + fixed,
+    st.lists(_terms(exponents, 1), min_size=2, max_size=3),
+    st.lists(_terms(const_exponents, 0), max_size=1),
+)
+CONSTRAINT_NAMES = VARS + tuple(ExpExpr(lin, "r").atom_name() for lin in ATOM_LINS)
+constraint_ops = st.one_of(
+    st.tuples(st.just("fixed"), st.sampled_from(CONSTRAINT_NAMES), st.integers(-2, 9)),
+    st.tuples(
+        st.just("residue"),
+        st.sampled_from(CONSTRAINT_NAMES),
+        st.integers(2, 4),
+        st.sets(st.integers(0, 5), max_size=3),
+    ),
+    st.tuples(st.just("parity"), st.sampled_from(CONSTRAINT_NAMES), st.integers(0, 1)),
+    st.tuples(st.just("congruence"), lins, st.integers(2, 4)),
+)
+
+
+def _apply(cons, op):
+    kind, *args = op
+    if kind == "fixed":
+        return cons.with_fixed(*args)
+    if kind == "residue":
+        return cons.with_residue(*args)
+    if kind == "parity":
+        return cons.with_parity(*args)
+    return cons.with_congruence(*args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    terms_st,
+    st.one_of(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]), st.integers(2, 40)),
+    st.lists(constraint_ops, max_size=3),
+    st.sampled_from([None, 6, 12]),
+)
+def test_tables_match_per_cell_reference(terms, m, ops, order_cap):
+    """The table kernel gives the reference's exact ResidueClassSet, or
+    raises the same exception type."""
+    cons = ConstraintSet.none()
+    for op in ops:
+        cons = _apply(cons, op)
+    # keep both evaluators on small tori; a larger one raises in both
+    with mock.patch.object(sieve, "TORUS_CELL_LIMIT", 20_000):
+        try:
+            expected = _reference_solutions(terms, m, cons, order_cap)
+        except SieveError as e:
+            with pytest.raises(type(e)):
+                congruence_solutions(terms, m, cons, order_cap=order_cap)
+            return
+        assert congruence_solutions(terms, m, cons, order_cap=order_cap) == expected
