@@ -3,14 +3,14 @@
 Run:  python demos/01_solution_sets.py
 """
 
-from jesma.search import find_solutions, find_solutions_scaled, find_terai_solutions
+from jesma.search import find_solutions, find_solutions_scaled
 from jesma.triples import Triple, jesmanowicz_family, lu_family
 
 # The founding example: 3^x + 4^y = 5^z has x = y = z = 2 as its only
 # solution in positive integers.  The search scans the (x, y) grid and
 # recovers z exactly from the sum, so no z bound is ever guessed.
-report = find_solutions(3, 4, 5, 30, 30)
-print(f"{report.instance.describe()}: {sorted(report.solution_set())}")
+report = find_solutions((3, 4, 5), 30, 30)
+print(f"{report.describe()}: {sorted(report.solution_set())}")
 
 # The conjecture says the same for every Pythagorean triple.  The family
 # (2n+1, 2n(n+1), 2n(n+1)+1) provided the first proved cases beyond it.
@@ -30,13 +30,14 @@ for k in (1, 7, 33, 50):
 # Not every equation of this shape is so rigid: with non-Pythagorean
 # bases two solutions can coexist.
 for a, b, c in ((3, 2, 5), (7, 2, 3), (89, 2, 91)):
-    sols = find_solutions(a, b, c, 30, 30).solution_set()
+    sols = find_solutions((a, b, c), 30, 30).solution_set()
     print(f"{a}^x + {b}^y = {c}^z -> {sorted(sols)}")
 
 # The quadratic variant x^2 + b^m = c^n ("Terai type") searches x as a
 # free base via exact integer square roots.
-print("x^2 + 3^m = 5^n ->", sorted(find_terai_solutions(3, 5, 10, 10)))
-print("x^2 + 2^m = 3^n ->", sorted(find_terai_solutions(2, 3, 10, 10)))
+for b, c in ((3, 5), (2, 3)):
+    report = find_solutions((b, c), 10, 10, form="terai")
+    print(report.describe(), "->", list(report.solutions))
 
 # Lu's family (4n^2-1, 4n, 4n^2+1) at n = 5 is the triple (99, 20, 101)
 # whose scaled equation the shipped certificate settles for every k.

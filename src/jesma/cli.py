@@ -24,17 +24,10 @@ from .certificate import (
     verify_certificate,
 )
 from .corpus import CorpusError, load_corpus, load_default_corpus, run_corpus
-from .search import (
-    DegenerateBaseError,
-    default_threads,
-    find_eisenstein_solutions,
-    find_solutions,
-    find_solutions_scaled,
-    find_terai_solutions,
-)
+from .search import FORMS, DegenerateBaseError, default_threads, find_solutions, scaled_bases
 from .sieve import ConstraintSet, find_killing_modulus
 from .symbolic import ExpExpr, Lin, Term
-from .triples import Triple, fermat_family, jesmanowicz_family, lu_family, primitive_from_pq
+from .triples import FAMILIES, Triple
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -55,64 +48,54 @@ def _sols_str(solutions) -> str:
 
 def cmd_search(args) -> int:
     threads = args.threads or default_threads()
-    start = time.perf_counter()
     try:
-        if args.form == "pythag":
-            t = _triple_from_args(args)
-            report = find_solutions_scaled(t, args.k, args.xmax, args.ymax, threads=threads)
-            instance = report.instance.describe()
-            solutions = report.solutions
-        elif args.form == "general":
-            report = find_solutions(args.a, args.b, args.c, args.xmax, args.ymax, threads=threads)
-            instance = report.instance.describe()
-            solutions = report.solutions
-        elif args.form == "terai":
-            solutions = tuple(sorted(find_terai_solutions(args.b, args.c, args.mmax, args.nmax)))
-            instance = f"x^2 + {args.b}^m = {args.c}^n"
-        elif args.form == "eisenstein":
-            solutions = tuple(
-                sorted(find_eisenstein_solutions(args.a, args.b, args.c, args.xmax, args.ymax))
-            )
-            instance = f"{args.a}^2x + {args.a}^x*{args.b}^y + {args.b}^2y = {args.c}^z"
-        else:
-            print(f"unknown form {args.form!r}", file=sys.stderr)
-            return EXIT_INPUT
+        form, bases, (x_max, y_max) = _instance_from_args(args)
+        report = find_solutions(bases, x_max, y_max, form=form, threads=threads)
     except DegenerateBaseError as e:
         print(f"degenerate instance: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (ValueError, TypeError) as e:
         print(f"bad instance: {e}", file=sys.stderr)
         return EXIT_INPUT
-    elapsed = time.perf_counter() - start
+    instance = report.describe()
+    solutions = report.solutions
     _report(
         {
             "command": "search",
             "instance": instance,
             "results": [[str(a) for a in s] for s in solutions],
-            "timing": {"seconds": f"{elapsed:.6f}"},
+            "timing": {"seconds": f"{report.elapsed:.6f}"},
         },
         args.json,
-        f"{instance}\n  solutions: {_sols_str(solutions)}\n  ({len(solutions)} found in {elapsed:.3f}s)",
+        f"{instance}\n  solutions: {_sols_str(solutions)}\n  ({len(solutions)} found in {report.elapsed:.3f}s)",
     )
     return EXIT_OK
 
 
-def _triple_from_args(args) -> Triple:
-    if args.family == "jesmanowicz":
-        t = jesmanowicz_family(args.n)
-    elif args.family == "lu":
-        t = lu_family(args.n)
-    elif args.family == "fermat":
-        t = fermat_family(args.n)
-    elif args.family == "pq":
-        t = primitive_from_pq(args.p, args.q)
+def _flags(args, names, what: str) -> tuple:
+    """The values of the flags `names`, which `what` needs all of."""
+    missing = [f"--{n}" for n in names if getattr(args, n) is None]
+    if missing:
+        raise ValueError(f"{what} needs {', '.join(missing)}")
+    return tuple(getattr(args, n) for n in names)
+
+
+def _instance_from_args(args) -> tuple[str, tuple[int, ...], tuple[int, int]]:
+    """The search form, bases and grid bounds the arguments name."""
+    if args.form != "pythag":
+        bases = _flags(args, FORMS[args.form].letters, f"--form {args.form}")
+        bounds = (args.mmax, args.nmax) if args.form == "terai" else (args.xmax, args.ymax)
+        return args.form, bases, bounds
+    if args.family:
+        make, params = FAMILIES[args.family]
+        t = make(*_flags(args, params, f"--family {args.family}"))
     elif args.u and args.v and args.w:
         t = Triple(args.u, args.v, args.w)
     else:
         raise ValueError("give --family plus its parameters, or --u/--v/--w")
     if args.swap_legs:
         t = t.swapped()
-    return t
+    return "general", scaled_bases(t, args.k), (args.xmax, args.ymax)
 
 
 def cmd_corpus(args) -> int:
@@ -304,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("search", help="enumerate all exponent solutions within bounds")
-    p.add_argument("--form", choices=["pythag", "general", "terai", "eisenstein"], required=True)
-    p.add_argument("--family", choices=["jesmanowicz", "lu", "fermat", "pq"])
+    p.add_argument("--form", choices=["pythag", *FORMS], required=True)
+    p.add_argument("--family", choices=list(FAMILIES))
     p.add_argument("--n", type=int, default=1, help="family parameter")
     p.add_argument("--p", type=int, help="pq family: p")
     p.add_argument("--q", type=int, help="pq family: q")

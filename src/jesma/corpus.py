@@ -3,9 +3,10 @@ regression harness.
 
 Each entry names an equation instance (by family + parameters or by
 explicit bases), bounds, and the expected solution set; running an entry
-searches the instance and diffs the result.  Expected solutions are
-re-verified by exact substitution when the file is loaded, so the corpus
-cannot silently drift.
+searches the instance and diffs the result.  When the file is loaded,
+each instance is checked as a search would check it and the expected
+solutions are re-verified by exact substitution at every scale k, so the
+corpus cannot silently drift and an invalid entry is a diagnostic.
 """
 
 from __future__ import annotations
@@ -16,21 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .search import (
-    find_eisenstein_solutions,
-    find_solutions,
-    find_solutions_scaled,
-    find_terai_solutions,
-)
-from .triples import Triple, fermat_family, jesmanowicz_family, lu_family, primitive_from_pq
+from .search import FORMS, check_instance, find_solutions, scaled_bases
+from .triples import FAMILIES, Triple
 
 __all__ = ["CorpusEntry", "CorpusError", "load_corpus", "load_default_corpus", "run_corpus", "run_entry"]
-
-_FAMILIES = {
-    "jesmanowicz": jesmanowicz_family,
-    "lu": lu_family,
-    "fermat": fermat_family,
-}
 
 
 class CorpusError(ValueError):
@@ -40,21 +30,24 @@ class CorpusError(ValueError):
 @dataclass(frozen=True)
 class CorpusEntry:
     id: str
-    form: str  # pythag | general | terai | eisenstein
+    form: str  # a key of search.FORMS; pythag entries search the general form
     expected: frozenset[tuple[int, ...]]
-    note: str = ""
-    triple: Triple | None = None
-    bases: tuple[int, ...] = ()
-    ks: tuple[int, ...] = (1,)
+    searches: tuple[tuple[str, tuple[int, ...]], ...]  # (mismatch label, bases)
+    triple: Triple | None = None  # the unscaled triple of a pythag entry
     x_max: int = 30
     y_max: int = 30
 
-    def instances(self):
-        if self.form == "pythag":
-            for k in self.ks:
-                yield k
-        else:
-            yield 1
+
+def _triple(obj: dict, where: str) -> Triple:
+    if "family" not in obj:
+        u, v, w = (int(a) for a in obj["triple"])
+        return Triple(u, v, w)
+    family = obj["family"]
+    if family not in FAMILIES:
+        raise CorpusError(f"{where}: unknown family {family!r}")
+    make, params = FAMILIES[family]
+    triple = make(*(int(obj[p]) for p in params))
+    return triple.swapped() if obj.get("swap_legs") else triple
 
 
 def _parse_entry(obj: dict, index: int) -> CorpusEntry:
@@ -67,45 +60,39 @@ def _parse_entry(obj: dict, index: int) -> CorpusEntry:
         x_max = int(obj.get("x_max", "30"))
         y_max = int(obj.get("y_max", "30"))
         triple = None
-        bases: tuple[int, ...] = ()
-        ks: tuple[int, ...] = (1,)
         if form == "pythag":
-            if "family" in obj:
-                family = obj["family"]
-                if family == "pq":
-                    triple = primitive_from_pq(int(obj["p"]), int(obj["q"]))
-                elif family in _FAMILIES:
-                    triple = _FAMILIES[family](int(obj["n"]))
-                else:
-                    raise CorpusError(f"{where}: unknown family {family!r}")
-                if obj.get("swap_legs"):
-                    triple = triple.swapped()
-            else:
-                u, v, w = (int(a) for a in obj["triple"])
-                triple = Triple(u, v, w)
+            triple = _triple(obj, where)
             if "k_range" in obj:
                 lo, hi = (int(a) for a in obj["k_range"])
-                ks = tuple(range(lo, hi + 1))
+                ks = range(lo, hi + 1)
             else:
                 ks = (int(obj.get("k", "1")),)
-        elif form in ("general", "eisenstein"):
+            form = "general"
+            searches = tuple((f"k={k}: ", scaled_bases(triple, k)) for k in ks)
+        elif form == "terai":
+            searches = (("", (int(obj["b"]), int(obj["c"]))),)
+            x_max = int(obj.get("m_max", "10"))
+            y_max = int(obj.get("n_max", "10"))
+        elif form in FORMS:
             bases = tuple(int(a) for a in obj["bases"])
             if len(bases) != 3:
                 raise CorpusError(f"{where}: need three bases")
-        elif form == "terai":
-            bases = (int(obj["b"]), int(obj["c"]))
-            x_max = int(obj.get("m_max", "10"))
-            y_max = int(obj.get("n_max", "10"))
+            searches = (("", bases),)
         else:
             raise CorpusError(f"{where}: unknown form {form!r}")
-        entry = CorpusEntry(
+        for _, bases in searches:
+            check_instance(bases, x_max, y_max, form)
+        for sol in expected:
+            if len(sol) != 3:
+                raise CorpusError(f"{where}: expected solution {sol} needs three exponents")
+            if not all(FORMS[form].holds(bases, sol) for _, bases in searches):
+                raise CorpusError(f"{where}: expected solution {sol} fails substitution")
+        return CorpusEntry(
             id=obj.get("id", f"entry-{index}"),
             form=form,
             expected=expected,
-            note=obj.get("note", ""),
+            searches=searches,
             triple=triple,
-            bases=bases,
-            ks=ks,
             x_max=x_max,
             y_max=y_max,
         )
@@ -113,33 +100,6 @@ def _parse_entry(obj: dict, index: int) -> CorpusEntry:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise CorpusError(f"{where}: {e}")
-    _check_expected(entry, where)
-    return entry
-
-
-def _check_expected(entry: CorpusEntry, where: str) -> None:
-    for sol in entry.expected:
-        if entry.form == "pythag":
-            x, y, z = sol
-            t = entry.triple
-            for k in entry.ks[:1]:
-                if (k * t.u) ** x + (k * t.v) ** y != (k * t.w) ** z:
-                    raise CorpusError(f"{where}: expected solution {sol} fails substitution")
-        elif entry.form == "general":
-            a, b, c = entry.bases
-            x, y, z = sol
-            if a**x + b**y != c**z:
-                raise CorpusError(f"{where}: expected solution {sol} fails substitution")
-        elif entry.form == "terai":
-            b, c = entry.bases
-            x, m, n = sol
-            if x * x + b**m != c**n:
-                raise CorpusError(f"{where}: expected solution {sol} fails substitution")
-        elif entry.form == "eisenstein":
-            a, b, c = entry.bases
-            x, y, z = sol
-            if a ** (2 * x) + a**x * b**y + b ** (2 * y) != c**z:
-                raise CorpusError(f"{where}: expected solution {sol} fails substitution")
 
 
 def load_corpus(text: str) -> tuple[list[CorpusEntry], list[str]]:
@@ -176,31 +136,11 @@ class EntryResult:
 def run_entry(entry: CorpusEntry) -> EntryResult:
     start = time.perf_counter()
     mismatches: list[str] = []
-    if entry.form == "pythag":
-        for k in entry.ks:
-            report = find_solutions_scaled(entry.triple, k, entry.x_max, entry.y_max)
-            found = report.solution_set()
-            if found != entry.expected:
-                mismatches.append(f"k={k}: found {sorted(found)} expected {sorted(entry.expected)}")
-    elif entry.form == "general":
-        a, b, c = entry.bases
-        found = find_solutions(a, b, c, entry.x_max, entry.y_max).solution_set()
+    for label, bases in entry.searches:
+        found = find_solutions(bases, entry.x_max, entry.y_max, form=entry.form).solution_set()
         if found != entry.expected:
-            mismatches.append(f"found {sorted(found)} expected {sorted(entry.expected)}")
-    elif entry.form == "terai":
-        b, c = entry.bases
-        found = find_terai_solutions(b, c, entry.x_max, entry.y_max)
-        if found != entry.expected:
-            mismatches.append(f"found {sorted(found)} expected {sorted(entry.expected)}")
-    elif entry.form == "eisenstein":
-        a, b, c = entry.bases
-        found = find_eisenstein_solutions(a, b, c, entry.x_max, entry.y_max)
-        if found != entry.expected:
-            mismatches.append(f"found {sorted(found)} expected {sorted(entry.expected)}")
-    elapsed = time.perf_counter() - start
-    if mismatches:
-        return EntryResult(entry.id, False, "; ".join(mismatches), elapsed)
-    return EntryResult(entry.id, True, "", elapsed)
+            mismatches.append(f"{label}found {sorted(found)} expected {sorted(entry.expected)}")
+    return EntryResult(entry.id, not mismatches, "; ".join(mismatches), time.perf_counter() - start)
 
 
 def run_corpus(entries: list[CorpusEntry], threads: int = 1) -> list[EntryResult]:

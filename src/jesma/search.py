@@ -2,8 +2,8 @@
 
 The ground-truth oracle of the package: every solution claim in the
 corpus is reproduced by these searches using exact integer arithmetic
-only.  The scan runs over the (x, y) grid; z never needs its own bound
-because the sum a^x + b^y determines it.
+only.  Every form in `FORMS` is scanned over a two-exponent grid; the
+third exponent never needs its own bound because the grid cell fixes it.
 """
 
 from __future__ import annotations
@@ -11,21 +11,24 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .arith import is_perfect_power_of
 from .triples import Triple
 
 __all__ = [
     "DegenerateBaseError",
-    "EquationInstance",
+    "FORMS",
+    "Form",
     "SelfCheckError",
     "SearchReport",
+    "check_instance",
     "find_solutions",
     "find_solutions_scaled",
-    "find_terai_solutions",
-    "find_eisenstein_solutions",
+    "scaled_bases",
 ]
 
 
@@ -42,62 +45,8 @@ class SelfCheckError(RuntimeError):
     so the check also runs under python -O."""
 
 
-def _self_check(holds: bool, solution: tuple[int, int, int], equation: str) -> None:
-    if not holds:
-        raise SelfCheckError(f"{solution} does not satisfy {equation}")
-
-
-@dataclass(frozen=True)
-class EquationInstance:
-    """A concrete equation to search: form is one of pythag-exp,
-    general-exp, terai, eisenstein."""
-
-    form: str
-    a: int
-    b: int
-    c: int
-    k: int = 1
-    tag: str = ""
-
-    def bases(self) -> tuple[int, int, int]:
-        return (self.k * self.a, self.k * self.b, self.k * self.c)
-
-    def describe(self) -> str:
-        ka, kb, kc = self.bases()
-        if self.form == "terai":
-            return f"x^2 + {self.b}^m = {self.c}^n"
-        if self.form == "eisenstein":
-            return f"{self.a}^2x + {self.a}^x*{self.b}^y + {self.b}^2y = {self.c}^z"
-        return f"{ka}^x + {kb}^y = {kc}^z"
-
-
-@dataclass(frozen=True)
-class SearchReport:
-    instance: EquationInstance
-    x_max: int
-    y_max: int
-    solutions: tuple[tuple[int, ...], ...]  # sorted lexicographically
-    candidates: int
-    elapsed: float = field(compare=False, default=0.0)
-
-    def solution_set(self) -> set[tuple[int, ...]]:
-        return set(self.solutions)
-
-
-def _check_bases(*bases: int) -> None:
-    for b in bases:
-        if b <= 1:
-            raise DegenerateBaseError(
-                f"base {b} rejected: bases of 1 generate infinite parametric "
-                f"solution families, so bounded search is meaningless"
-            )
-
-
-def _verify_general(a: int, b: int, c: int, x: int, y: int, z: int) -> bool:
-    return a**x + b**y == c**z
-
-
-def _scan_rows(a: int, b: int, c: int, xs: range, y_max: int) -> list[tuple[int, int, int]]:
+def _scan_general(bases: tuple[int, ...], xs: range, y_max: int) -> list[tuple[int, int, int]]:
+    a, b, c = bases
     out = []
     ax = a ** xs.start
     for x in xs:
@@ -111,116 +60,167 @@ def _scan_rows(a: int, b: int, c: int, xs: range, y_max: int) -> list[tuple[int,
     return out
 
 
-def find_solutions(
-    a: int,
-    b: int,
-    c: int,
-    x_max: int = 30,
-    y_max: int = 30,
-    threads: int = 1,
-    tag: str = "",
-    form: str = "general-exp",
-    k: int = 1,
-) -> SearchReport:
-    """All (x, y, z) with a^x + b^y == c^z, 1 <= x <= x_max, 1 <= y <= y_max.
+def _holds_general(bases: tuple[int, ...], sol: tuple[int, ...]) -> bool:
+    (a, b, c), (x, y, z) = bases, sol
+    return a**x + b**y == c**z
 
-    z is recovered per grid cell by exact repeated division, so no z bound
-    is needed and completeness over the grid is unconditional.
-    """
-    _check_bases(a, b, c)
+
+def _scan_terai(bases: tuple[int, ...], ms: range, n_max: int) -> list[tuple[int, int, int]]:
+    # x >= 1 is recovered by exact integer square root of c^n - b^m
+    b, c = bases
+    out = []
+    bm = b ** ms.start
+    for m in ms:
+        cn = c
+        for n in range(1, n_max + 1):
+            d = cn - bm
+            if d >= 1:
+                x = math.isqrt(d)
+                if x * x == d:
+                    out.append((x, m, n))
+            cn *= c
+        bm *= b
+    return out
+
+
+def _holds_terai(bases: tuple[int, ...], sol: tuple[int, ...]) -> bool:
+    (b, c), (x, m, n) = bases, sol
+    return x * x + b**m == c**n
+
+
+def _scan_eisenstein(bases: tuple[int, ...], xs: range, y_max: int) -> list[tuple[int, int, int]]:
+    # the general form's loop with another sum; one shared loop taking the sum as a
+    # function would cost the general form a call per cell
+    a, b, c = bases
+    out = []
+    ax = a ** xs.start
+    for x in xs:
+        by = b
+        for y in range(1, y_max + 1):
+            z = is_perfect_power_of(ax * ax + ax * by + by * by, c)
+            if z is not None:
+                out.append((x, y, z))
+            by *= b
+        ax *= a
+    return out
+
+
+def _holds_eisenstein(bases: tuple[int, ...], sol: tuple[int, ...]) -> bool:
+    (a, b, c), (x, y, z) = bases, sol
+    return a ** (2 * x) + a**x * b**y + b ** (2 * y) == c**z
+
+
+def _eisenstein_condition(bases: tuple[int, ...]) -> None:
+    # the Eisenstein analogue of the Pythagorean condition behind pythag
+    a, b, c = bases
+    if a * a + a * b + b * b != c * c:
+        raise ValueError(f"{bases} violates a^2 + a*b + b^2 = c^2")
+
+
+@dataclass(frozen=True)
+class Form:
+    """One equation shape: how to scan its grid, re-check a solution and
+    print it.  The functions are module-level so a scan pickles to a worker."""
+
+    letters: str  # the names of the bases, in order, as the template uses them
+    scan: Callable[[tuple[int, ...], range, int], list[tuple[int, int, int]]]
+    holds: Callable[[tuple[int, ...], tuple[int, ...]], bool]
+    equation: str  # str.format template over the base letters
+    precondition: Callable[[tuple[int, ...]], None] | None = None  # raises ValueError
+    pooled: bool = False  # whether grid rows may be split across processes
+
+
+FORMS = {
+    "general": Form("abc", _scan_general, _holds_general, "{a}^x + {b}^y = {c}^z", pooled=True),
+    "terai": Form("bc", _scan_terai, _holds_terai, "x^2 + {b}^m = {c}^n"),
+    "eisenstein": Form(
+        "abc",
+        _scan_eisenstein,
+        _holds_eisenstein,
+        "{a}^2x + {a}^x*{b}^y + {b}^2y = {c}^z",
+        precondition=_eisenstein_condition,
+    ),
+}
+
+
+@dataclass(frozen=True)
+class SearchReport:
+    form: str
+    bases: tuple[int, ...]
+    x_max: int
+    y_max: int
+    solutions: tuple[tuple[int, ...], ...]  # sorted lexicographically
+    candidates: int
+    elapsed: float = field(compare=False, default=0.0)
+
+    def solution_set(self) -> set[tuple[int, ...]]:
+        return set(self.solutions)
+
+    def describe(self) -> str:
+        spec = FORMS[self.form]
+        return spec.equation.format(**dict(zip(spec.letters, self.bases)))
+
+
+def check_instance(bases: tuple[int, ...], x_max: int, y_max: int, form: str) -> Form:
+    """Raise for an instance with no finite bounded answer; return its form."""
+    spec = FORMS[form]
+    for b in bases:
+        if b <= 1:
+            raise DegenerateBaseError(
+                f"base {b} rejected: bases of 1 generate infinite parametric "
+                f"solution families, so bounded search is meaningless"
+            )
+    if spec.precondition:
+        spec.precondition(bases)
     if x_max < 1 or y_max < 1:
         raise ValueError("bounds must be >= 1")
+    return spec
+
+
+def find_solutions(
+    bases: tuple[int, ...],
+    x_max: int = 30,
+    y_max: int = 30,
+    form: str = "general",
+    threads: int = 1,
+) -> SearchReport:
+    """All solutions of the form's equation with its grid exponents in
+    [1, x_max] x [1, y_max]; for the general form, all (x, y, z) with
+    a^x + b^y == c^z.  The third exponent is recovered per cell exactly,
+    so it needs no bound and completeness over the grid is unconditional.
+    """
+    bases = tuple(bases)
+    spec = check_instance(bases, x_max, y_max, form)
     start = time.perf_counter()
-    if threads > 1 and x_max >= 4:
+    if spec.pooled and threads > 1 and x_max >= 4:
         chunk = (x_max + threads - 1) // threads
         rows = [range(lo, min(lo + chunk, x_max + 1)) for lo in range(1, x_max + 1, chunk)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(_scan_rows, *zip(*((a, b, c, r, y_max) for r in rows)))
+            parts = pool.map(spec.scan, repeat(bases), rows, repeat(y_max))
         found = [s for part in parts for s in part]
     else:
-        found = _scan_rows(a, b, c, range(1, x_max + 1), y_max)
+        found = spec.scan(bases, range(1, x_max + 1), y_max)
     solutions = tuple(sorted(set(found)))
-    for x, y, z in solutions:  # self-check by exact substitution
-        _self_check(_verify_general(a, b, c, x, y, z), (x, y, z), f"{a}^x + {b}^y = {c}^z")
-    inst = EquationInstance(form, a // k, b // k, c // k, k, tag) if k > 1 else EquationInstance(form, a, b, c, 1, tag)
-    return SearchReport(inst, x_max, y_max, solutions, x_max * y_max, time.perf_counter() - start)
+    elapsed = time.perf_counter() - start
+    report = SearchReport(form, bases, x_max, y_max, solutions, x_max * y_max, elapsed)
+    for sol in solutions:  # self-check by exact substitution
+        if not spec.holds(bases, sol):
+            raise SelfCheckError(f"{sol} does not satisfy {report.describe()}")
+    return report
+
+
+def scaled_bases(t: Triple, k: int) -> tuple[int, int, int]:
+    """The bases (kU, kV, kW) of the scaled equation for a triple."""
+    if k < 1:
+        raise ValueError(f"scale k must be >= 1, got {k}")
+    return (k * t.u, k * t.v, k * t.w)
 
 
 def find_solutions_scaled(
     t: Triple, k: int, x_max: int = 30, y_max: int = 30, threads: int = 1
 ) -> SearchReport:
     """Search (kU)^x + (kV)^y = (kW)^z for the given triple and scale."""
-    if k < 1:
-        raise ValueError(f"scale k must be >= 1, got {k}")
-    return find_solutions(
-        k * t.u,
-        k * t.v,
-        k * t.w,
-        x_max,
-        y_max,
-        threads=threads,
-        tag=t.label(),
-        form="pythag-exp",
-        k=k,
-    )
-
-
-def find_terai_solutions(
-    b: int, c: int, m_max: int = 10, n_max: int = 10
-) -> set[tuple[int, int, int]]:
-    """All (x, m, n) with x^2 + b^m == c^n inside the exponent bounds;
-    x >= 1 is recovered by exact integer square root."""
-    _check_bases(b, c)
-    if m_max < 1 or n_max < 1:
-        raise ValueError("bounds must be >= 1")
-    out = set()
-    cn = c
-    for n in range(1, n_max + 1):
-        bm = b
-        for m in range(1, m_max + 1):
-            d = cn - bm
-            if d >= 1:
-                x = math.isqrt(d)
-                if x * x == d and x >= 1:
-                    out.add((x, m, n))
-            bm *= b
-        cn *= c
-    for x, m, n in out:
-        _self_check(x * x + b**m == c**n, (x, m, n), f"x^2 + {b}^m = {c}^n")
-    return out
-
-
-def find_eisenstein_solutions(
-    a: int, b: int, c: int, x_max: int = 10, y_max: int = 10
-) -> set[tuple[int, int, int]]:
-    """All (x, y, z) with a^2x + a^x*b^y + b^2y == c^z in bounds.
-
-    Requires the Eisenstein condition a^2 + a*b + b^2 == c^2, mirroring
-    how the Pythagorean condition underlies the pythag-exp form.
-    """
-    _check_bases(a, b, c)
-    if a * a + a * b + b * b != c * c:
-        raise ValueError(f"({a}, {b}, {c}) violates a^2 + a*b + b^2 = c^2")
-    if x_max < 1 or y_max < 1:
-        raise ValueError("bounds must be >= 1")
-    out = set()
-    ax = a
-    for x in range(1, x_max + 1):
-        by = b
-        for y in range(1, y_max + 1):
-            s = ax * ax + ax * by + by * by
-            z = is_perfect_power_of(s, c)
-            if z is not None:
-                out.add((x, y, z))
-            by *= b
-        ax *= a
-    for x, y, z in out:
-        _self_check(
-            a ** (2 * x) + a**x * b**y + b ** (2 * y) == c**z,
-            (x, y, z),
-            f"{a}^2x + {a}^x*{b}^y + {b}^2y = {c}^z",
-        )
-    return out
+    return find_solutions(scaled_bases(t, k), x_max, y_max, threads=threads)
 
 
 def default_threads() -> int:

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "FAMILIES",
     "Triple",
     "NonPrimitiveParametersError",
     "InvalidParameterError",
@@ -28,7 +29,7 @@ class InvalidParameterError(ValueError):
 
 @dataclass(frozen=True)
 class Triple:
-    """A Pythagorean triple (u, v, w), optionally scaled by k.
+    """A Pythagorean triple (u, v, w).
 
     Leg order is meaningful and preserved exactly as the generating family
     writes it: searches always bind x to u and y to v, and solution tuples
@@ -38,12 +39,11 @@ class Triple:
     u: int
     v: int
     w: int
-    k: int = 1
     family: str = ""
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if min(self.u, self.v, self.w) < 1 or self.k < 1:
+        if min(self.u, self.v, self.w) < 1:
             raise InvalidParameterError(f"triple entries must be positive: {self}")
         if self.u * self.u + self.v * self.v != self.w * self.w:
             raise InvalidParameterError(
@@ -54,10 +54,7 @@ class Triple:
         return math.gcd(self.u, self.v) == 1 and (self.u + self.v) % 2 == 1
 
     def swapped(self) -> "Triple":
-        return Triple(self.v, self.u, self.w, self.k, self.family, self.params)
-
-    def scaled(self, k: int) -> "Triple":
-        return Triple(self.u, self.v, self.w, k, self.family, self.params)
+        return Triple(self.v, self.u, self.w, self.family, self.params)
 
     def label(self) -> str:
         base = f"({self.u},{self.v},{self.w})"
@@ -104,6 +101,15 @@ def fermat_family(n: int) -> Triple:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     f = 2 ** (2**n) + 1
     return Triple(f - 2, 2 ** (2 ** (n - 1) + 1), f, family="fermat", params=(n,))
+
+
+# family name -> (generator, the names of its integer parameters)
+FAMILIES = {
+    "jesmanowicz": (jesmanowicz_family, ("n",)),
+    "lu": (lu_family, ("n",)),
+    "fermat": (fermat_family, ("n",)),
+    "pq": (primitive_from_pq, ("p", "q")),
+}
 
 
 def fibonacci(n: int) -> int:

@@ -53,15 +53,15 @@ def test_criterion_2_theorem_desk_scale():
 
 
 def test_criterion_3_multi_solution_corpus():
-    assert find_solutions(3, 2, 5, 30, 30).solution_set() == {(1, 1, 1), (2, 4, 2)}
-    assert find_solutions(7, 2, 3, 30, 30).solution_set() == {(1, 1, 2), (2, 5, 4)}
+    assert find_solutions((3, 2, 5), 30, 30).solution_set() == {(1, 1, 1), (2, 4, 2)}
+    assert find_solutions((7, 2, 3), 30, 30).solution_set() == {(1, 1, 2), (2, 5, 4)}
     for n in range(3, 7):
         b = 2**n
-        assert find_solutions(b - 1, 2, b + 1, 30, 30).solution_set() == {(1, 1, 1), (2, n + 2, 2)}
-    assert find_solutions(89, 2, 91, 30, 30).solution_set() == {(1, 1, 1), (1, 13, 2)}
+        assert find_solutions((b - 1, 2, b + 1), 30, 30).solution_set() == {(1, 1, 1), (2, n + 2, 2)}
+    assert find_solutions((89, 2, 91), 30, 30).solution_set() == {(1, 1, 1), (1, 13, 2)}
     for n in range(2, 11):
         expected = {(2, 2, 2)} if n == 3 else set()
-        assert find_solutions(n, n + 1, n + 2, 25, 25).solution_set() == expected, n
+        assert find_solutions((n, n + 1, n + 2), 25, 25).solution_set() == expected, n
     _ok("criterion 3: multi-solution equations reproduce their exact catalogued sets")
 
 
@@ -141,10 +141,10 @@ def _corpus_pythag_solutions():
     assert not problems
     out = []
     for e in entries:
-        if e.form != "pythag":
+        if e.triple is None:
             continue
-        for k in e.ks:
-            for sol in find_solutions_scaled(e.triple, k, min(e.x_max, 15), min(e.y_max, 15)).solutions:
+        for _, bases in e.searches:
+            for sol in find_solutions(bases, min(e.x_max, 15), min(e.y_max, 15)).solutions:
                 out.append(sol)
     return out
 
@@ -163,7 +163,7 @@ def test_criterion_6_property_suites():
     rng = random.Random(99)
     for _ in range(50):
         a, b, c = (rng.randint(2, 50) for _ in range(3))
-        got = find_solutions(a, b, c, 8, 8).solution_set()
+        got = find_solutions((a, b, c), 8, 8).solution_set()
         top = a**8 + b**8
         z_max, cz = 1, c
         while cz <= top:

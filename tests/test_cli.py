@@ -53,6 +53,39 @@ def test_search_terai_and_eisenstein(capsys):
     assert code == 0 and "(1,1,2)" in out
 
 
+@pytest.mark.parametrize(
+    "argv, instance",
+    [
+        (["--form", "pythag", "--u", "20", "--v", "99", "--w", "101", "--k", "17"], "340^x + 1683^y = 1717^z"),
+        (["--form", "pythag", "--family", "lu", "--n", "5", "--swap-legs"], "20^x + 99^y = 101^z"),
+        (["--form", "general", "--a", "89", "--b", "2", "--c", "91"], "89^x + 2^y = 91^z"),
+        (["--form", "terai", "--b", "3", "--c", "5"], "x^2 + 3^m = 5^n"),
+        (["--form", "eisenstein", "--a", "3", "--b", "5", "--c", "7"], "3^2x + 3^x*5^y + 5^2y = 7^z"),
+    ],
+    ids=["pythag", "pythag-family", "general", "terai", "eisenstein"],
+)
+def test_search_json_instance_per_form(capsys, argv, instance):
+    code, out, _ = run(["search", *argv, "--xmax", "5", "--ymax", "5", "--json", "--threads", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["instance"] == instance
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--form", "general", "--a", "3", "--b", "2"], "--form general needs --c"),
+        (["--form", "terai", "--b", "3"], "--form terai needs --c"),
+        (["--form", "eisenstein", "--b", "5"], "--form eisenstein needs --a, --c"),
+        (["--form", "pythag", "--family", "pq", "--q", "1"], "--family pq needs --p"),
+    ],
+    ids=["general", "terai", "eisenstein", "pq-family"],
+)
+def test_search_names_missing_flags(capsys, argv, message):
+    code, out, err = run(["search", *argv], capsys)
+    assert code == 2 and out == ""
+    assert err == f"bad instance: {message}\n"
+
+
 def test_corpus_shipped_passes(capsys):
     code, out, _ = run(["corpus", "--threads", "2"], capsys)
     assert code == 0

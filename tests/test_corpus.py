@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from jesma.cli import main
 from jesma.corpus import CorpusError, load_corpus, load_default_corpus, run_corpus, run_entry
 
 
@@ -52,8 +54,45 @@ def test_run_entry_reports_mismatch_detail():
     nagell = next(e for e in entries if e.id == "nagell-3-2-5")
     result = run_entry(nagell)
     assert result.passed and result.detail == ""
-    import dataclasses
-
     wrong = dataclasses.replace(nagell, expected=frozenset({(1, 1, 1)}))
     result = run_entry(wrong)
     assert not result.passed and "(2, 4, 2)" in result.detail
+
+    # a pythag k_range entry names the scale of every mismatching search
+    scaled = next(e for e in entries if e.id == "deng-cohen-n1-k1-20")
+    assert run_entry(scaled).passed
+    result = run_entry(dataclasses.replace(scaled, expected=frozenset()))
+    details = result.detail.split("; ")
+    assert not result.passed and len(details) == 20
+    assert details[0] == "k=1: found [(2, 2, 2)] expected []"
+    assert details[-1] == "k=20: found [(2, 2, 2)] expected []"
+
+
+GOOD = {"form": "general", "bases": ["3", "2", "5"], "x_max": "5", "y_max": "5",
+        "expected": [["1", "1", "1"], ["2", "4", "2"]]}
+
+
+@pytest.mark.parametrize("threads", [["--threads", "1"], []], ids=["serial", "default-pool"])
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        ({"form": "general", "bases": ["3", "2", "5"], "x_max": "0"}, "bounds must be >= 1"),
+        ({"form": "terai", "b": "3", "c": "5", "m_max": "-1"}, "bounds must be >= 1"),
+        ({"form": "general", "bases": ["1", "2", "3"]}, "base 1 rejected: bases of 1 generate"),
+        ({"form": "eisenstein", "bases": ["3", "4", "7"]}, "(3, 4, 7) violates a^2 + a*b + b^2 = c^2"),
+        ({"form": "pythag", "triple": ["3", "4", "5"], "k": "0"}, "scale k must be >= 1, got 0"),
+        ({"form": "general", "bases": ["3", "2", "5"], "expected": [["1", "1"]]},
+         "expected solution (1, 1) needs three exponents"),
+    ],
+    ids=["x_max-0", "m_max-negative", "base-1", "eisenstein-condition", "k-0", "expected-arity"],
+)
+def test_invalid_instance_is_malformed_entry(tmp_path, capsys, monkeypatch, bad, reason, threads):
+    monkeypatch.delenv("JESMA_THREADS", raising=False)
+    f = tmp_path / "corpus.json"
+    f.write_text(json.dumps([{"id": "a", **GOOD}, {"id": "bad", **bad}, {"id": "b", **GOOD}]))
+    code = main(["corpus", "--file", str(f), *threads])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"malformed: entry[1] id='bad': {reason}")
+    assert "PASS a " in out and "PASS b " in out and "2/2 entries pass" in out

@@ -10,10 +10,8 @@ import jesma
 from jesma.search import (
     DegenerateBaseError,
     SelfCheckError,
-    find_eisenstein_solutions,
     find_solutions,
     find_solutions_scaled,
-    find_terai_solutions,
 )
 from jesma.triples import Triple, lu_family
 
@@ -36,10 +34,10 @@ def brute_force(a, b, c, x_max, y_max):
 
 
 def test_known_solution_sets():
-    assert find_solutions(3, 4, 5, 30, 30).solution_set() == {(2, 2, 2)}
-    assert find_solutions(3, 2, 5, 30, 30).solution_set() == {(1, 1, 1), (2, 4, 2)}
-    assert find_solutions(7, 2, 3, 30, 30).solution_set() == {(1, 1, 2), (2, 5, 4)}
-    assert find_solutions(89, 2, 91, 30, 30).solution_set() == {(1, 1, 1), (1, 13, 2)}
+    assert find_solutions((3, 4, 5), 30, 30).solution_set() == {(2, 2, 2)}
+    assert find_solutions((3, 2, 5), 30, 30).solution_set() == {(1, 1, 1), (2, 4, 2)}
+    assert find_solutions((7, 2, 3), 30, 30).solution_set() == {(1, 1, 2), (2, 5, 4)}
+    assert find_solutions((89, 2, 91), 30, 30).solution_set() == {(1, 1, 1), (1, 13, 2)}
 
 
 def test_scaled_solution_sets():
@@ -49,29 +47,29 @@ def test_scaled_solution_sets():
 
 
 def test_terai_solutions():
-    assert find_terai_solutions(3, 5, 10, 10) == {(4, 2, 2)}
-    assert find_terai_solutions(2, 3, 1, 1) == {(1, 1, 1)}
-    assert find_terai_solutions(5, 6, 8, 8) == {(1, 1, 1)}
+    assert find_solutions((3, 5), 10, 10, form="terai").solution_set() == {(4, 2, 2)}
+    assert find_solutions((2, 3), 1, 1, form="terai").solution_set() == {(1, 1, 1)}
+    assert find_solutions((5, 6), 8, 8, form="terai").solution_set() == {(1, 1, 1)}
 
 
 def test_eisenstein_solutions():
-    assert find_eisenstein_solutions(3, 5, 7, 10, 10) == {(1, 1, 2)}
-    assert find_eisenstein_solutions(5, 3, 7, 10, 10) == {(1, 1, 2)}
-    assert find_eisenstein_solutions(7, 8, 13, 10, 10) == {(1, 1, 2)}
+    assert find_solutions((3, 5, 7), 10, 10, form="eisenstein").solution_set() == {(1, 1, 2)}
+    assert find_solutions((5, 3, 7), 10, 10, form="eisenstein").solution_set() == {(1, 1, 2)}
+    assert find_solutions((7, 8, 13), 10, 10, form="eisenstein").solution_set() == {(1, 1, 2)}
 
 
 def test_eisenstein_rejects_bad_instance():
     with pytest.raises(ValueError):
-        find_eisenstein_solutions(3, 4, 7, 5, 5)
+        find_solutions((3, 4, 7), 5, 5, form="eisenstein")
 
 
 def test_degenerate_bases_rejected():
     with pytest.raises(DegenerateBaseError):
-        find_solutions(1, 2, 3)
+        find_solutions((1, 2, 3))
     with pytest.raises(DegenerateBaseError):
-        find_terai_solutions(1, 3)
+        find_solutions((1, 3), form="terai")
     with pytest.raises(DegenerateBaseError):
-        find_eisenstein_solutions(1, 1, 1)  # 1 + 1 + 1 != 1 anyway, base check first
+        find_solutions((1, 1, 1), form="eisenstein")  # 1 + 1 + 1 != 1 anyway, base check first
 
 
 def test_matches_brute_force_oracle():
@@ -81,14 +79,14 @@ def test_matches_brute_force_oracle():
         a = rng.randint(2, 50)
         b = rng.randint(2, 50)
         c = rng.randint(2, 50)
-        got = find_solutions(a, b, c, 8, 8).solution_set()
+        got = find_solutions((a, b, c), 8, 8).solution_set()
         assert got == brute_force(a, b, c, 8, 8), (a, b, c)
         done += 1
 
 
 def test_monotone_in_bounds():
-    small = find_solutions(7, 2, 3, 4, 4).solution_set()
-    large = find_solutions(7, 2, 3, 30, 30).solution_set()
+    small = find_solutions((7, 2, 3), 4, 4).solution_set()
+    large = find_solutions((7, 2, 3), 30, 30).solution_set()
     assert small <= large
 
 
@@ -99,7 +97,7 @@ def test_always_finds_222_for_pythag():
 
 
 def test_report_self_checks_and_counts():
-    r = find_solutions(3, 2, 5, 12, 9)
+    r = find_solutions((3, 2, 5), 12, 9)
     assert r.candidates == 12 * 9
     assert r.solutions == tuple(sorted(r.solutions))
     for x, y, z in r.solutions:
@@ -107,18 +105,29 @@ def test_report_self_checks_and_counts():
 
 
 def test_parallel_matches_serial():
-    serial = find_solutions(3, 2, 5, 25, 25, threads=1)
-    parallel = find_solutions(3, 2, 5, 25, 25, threads=3)
+    serial = find_solutions((3, 2, 5), 25, 25, threads=1)
+    parallel = find_solutions((3, 2, 5), 25, 25, threads=3)
     assert serial.solutions == parallel.solutions
+
+
+def test_only_general_form_uses_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started")
+
+    monkeypatch.setattr("jesma.search.ProcessPoolExecutor", no_pool)
+    assert find_solutions((3, 5), 10, 10, form="terai", threads=4).solution_set() == {(4, 2, 2)}
+    assert find_solutions((3, 5, 7), 10, 10, form="eisenstein", threads=4).solution_set() == {(1, 1, 2)}
+    with pytest.raises(AssertionError, match="process pool"):
+        find_solutions((3, 2, 5), 10, 10, threads=4)
 
 
 def test_self_check_rejects_wrong_solution(monkeypatch):
     # a scan that reports a wrong z must be caught by the exact re-check
     monkeypatch.setattr("jesma.search.is_perfect_power_of", lambda s, base: 3)
     with pytest.raises(SelfCheckError):
-        find_solutions(3, 4, 5, 2, 2)
+        find_solutions((3, 4, 5), 2, 2)
     with pytest.raises(SelfCheckError):
-        find_eisenstein_solutions(3, 5, 7, 2, 2)
+        find_solutions((3, 5, 7), 2, 2, form="eisenstein")
 
 
 def test_self_check_survives_optimize_flag():
@@ -126,7 +135,7 @@ def test_self_check_survives_optimize_flag():
         "import jesma.search as s\n"
         "s.is_perfect_power_of = lambda n, base: 3\n"
         "try:\n"
-        "    s.find_solutions(3, 4, 5, 2, 2)\n"
+        "    s.find_solutions((3, 4, 5), 2, 2)\n"
         "except s.SelfCheckError:\n"
         "    print('caught')\n"
     )
