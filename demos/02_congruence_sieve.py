@@ -34,7 +34,7 @@ print(f"moduli skipped as unrepresentable: {[m for m, _ in witness.skipped]}")
 
 # Without the parity constraint the congruence is satisfiable (odd z
 # gives 101^z == -1), so no modulus can kill it -- constraints matter.
-print("without z even:", "no kill" if find_killing_modulus(terms, m_max=40) is None else "killed")
+print("without z even:", "no kill" if find_killing_modulus(terms, m_max=40).modulus is None else "killed")
 
 # A second classical step: 2^z == 5^x (mod 33).  The full solution set on
 # the 10 x 10 residue torus projects to 'x and z both even'; fixing x = 2

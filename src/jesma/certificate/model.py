@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
+# Deepest case tree a certificate may hold.  The shipped certificates
+# reach 12 levels; the cap keeps loading and verification, which recurse
+# once per level, far inside the interpreter's recursion limit.
+MAX_TREE_DEPTH = 200
 
 
 class MalformedCertificateError(ValueError):
@@ -104,14 +108,16 @@ class Node:
         return {"step": self.step, "children": [c.to_json() for c in self.children]}
 
     @staticmethod
-    def from_json(obj: dict, path: str = "tree") -> "Node":
+    def from_json(obj: dict, path: str = "tree", depth: int = 1) -> "Node":
+        if depth > MAX_TREE_DEPTH:
+            raise MalformedCertificateError(path, f"case tree deeper than {MAX_TREE_DEPTH} levels")
         if not isinstance(obj, dict) or "step" not in obj:
             raise MalformedCertificateError(path, "node needs a 'step' object")
         step = obj["step"]
         if not isinstance(step, dict) or "kind" not in step:
             raise MalformedCertificateError(path, "step needs a 'kind'")
         children = tuple(
-            Node.from_json(c, f"{path}.children[{i}]")
+            Node.from_json(c, f"{path}.children[{i}]", depth + 1)
             for i, c in enumerate(obj.get("children", []))
         )
         return Node(step, children)
@@ -186,6 +192,8 @@ def dumps_certificate(cert: Certificate) -> str:
 def loads_certificate(text: str) -> Certificate:
     try:
         obj = json.loads(text)
+        return Certificate.from_json(obj)
     except json.JSONDecodeError as e:
         raise MalformedCertificateError("$", f"invalid JSON: {e}")
-    return Certificate.from_json(obj)
+    except RecursionError:
+        raise MalformedCertificateError("$", "JSON nested too deeply to parse")

@@ -211,10 +211,11 @@ def cmd_prove(args) -> int:
         print(f"bad input: {e}", file=sys.stderr)
         return EXIT_INPUT
     witness = find_killing_modulus(terms, cons, m_max=args.mmax, order_cap=args.order_cap)
-    if witness is None:
+    scan = f"{len(witness.scanned)} moduli scanned, {len(witness.skipped)} skipped"
+    if witness.modulus is None:
         print(
             f"no killing modulus up to {args.mmax}: the congruence stays solvable "
-            f"on every checkable modulus",
+            f"on every checkable modulus ({scan})",
             file=sys.stderr,
         )
         return EXIT_MATH
@@ -227,7 +228,7 @@ def cmd_prove(args) -> int:
     if args.output:
         with open(args.output, "w") as f:
             f.write(text + "\n")
-        print(f"killing modulus {witness.modulus}; certificate written to {args.output}")
+        print(f"killing modulus {witness.modulus}; {scan}; certificate written to {args.output}")
     else:
         print(text)
     return EXIT_OK

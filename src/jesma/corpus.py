@@ -22,6 +22,13 @@ from .triples import FAMILIES, Triple
 
 __all__ = ["CorpusEntry", "CorpusError", "load_corpus", "load_default_corpus", "run_corpus", "run_entry"]
 
+# Load-time work limits: a corpus entry is untrusted input, so neither its
+# searches nor the exact substitution of its expected solutions may grow
+# without bound.
+BOUND_MAX = 1_000  # largest x_max / y_max (m_max / n_max for terai)
+K_RANGE_MAX = 100  # most scales one pythag k_range may list
+EXPECTED_BITS_MAX = 1 << 20  # largest power, in bits, formed to re-verify an expected solution
+
 
 class CorpusError(ValueError):
     pass
@@ -65,6 +72,8 @@ def _parse_entry(obj: dict, index: int) -> CorpusEntry:
             if "k_range" in obj:
                 lo, hi = (int(a) for a in obj["k_range"])
                 ks = range(lo, hi + 1)
+                if not 1 <= len(ks) <= K_RANGE_MAX:
+                    raise CorpusError(f"{where}: k_range [{lo}, {hi}] must list 1 to {K_RANGE_MAX} scales")
             else:
                 ks = (int(obj.get("k", "1")),)
             form = "general"
@@ -80,12 +89,27 @@ def _parse_entry(obj: dict, index: int) -> CorpusEntry:
             searches = (("", bases),)
         else:
             raise CorpusError(f"{where}: unknown form {form!r}")
+        if max(x_max, y_max) > BOUND_MAX:
+            raise CorpusError(f"{where}: bounds must be <= {BOUND_MAX}")
         for _, bases in searches:
             check_instance(bases, x_max, y_max, form)
+        spec = FORMS[form]
+        base_bits = max(b.bit_length() for _, bases in searches for b in bases)
         for sol in expected:
             if len(sol) != 3:
                 raise CorpusError(f"{where}: expected solution {sol} needs three exponents")
-            if not all(FORMS[form].holds(bases, sol) for _, bases in searches):
+            gx, gy = (sol[i] for i in spec.exponents[:2])
+            if not (1 <= gx <= x_max and 1 <= gy <= y_max):
+                raise CorpusError(
+                    f"{where}: expected solution {sol} lies outside the grid [1, {x_max}] x [1, {y_max}]"
+                )
+            # each power a form's check forms is at most base ** (2 * exponent), but
+            # terai's x * x, which int parsing already bounds by its digit limit
+            if 2 * max(sol[i] for i in spec.exponents) * base_bits > EXPECTED_BITS_MAX:
+                raise CorpusError(
+                    f"{where}: expected solution {sol} forms a power over {EXPECTED_BITS_MAX} bits"
+                )
+            if not all(spec.holds(bases, sol) for _, bases in searches):
                 raise CorpusError(f"{where}: expected solution {sol} fails substitution")
         return CorpusEntry(
             id=obj.get("id", f"entry-{index}"),

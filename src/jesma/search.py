@@ -128,11 +128,12 @@ class Form:
     equation: str  # str.format template over the base letters
     precondition: Callable[[tuple[int, ...]], None] | None = None  # raises ValueError
     pooled: bool = False  # whether grid rows may be split across processes
+    exponents: tuple[int, ...] = (0, 1, 2)  # where a solution holds exponents, grid pair first
 
 
 FORMS = {
     "general": Form("abc", _scan_general, _holds_general, "{a}^x + {b}^y = {c}^z", pooled=True),
-    "terai": Form("bc", _scan_terai, _holds_terai, "x^2 + {b}^m = {c}^n"),
+    "terai": Form("bc", _scan_terai, _holds_terai, "x^2 + {b}^m = {c}^n", exponents=(1, 2)),
     "eisenstein": Form(
         "abc",
         _scan_eisenstein,

@@ -4,9 +4,11 @@ Solves congruences  sum_i c_i * prod_j b_ij ** e_ij  == 0 (mod m)  exactly,
 where each exponent is a linear form in integer variables or a valuation
 symbol times such a form.  Every variable's residue is periodic modulo the
 multiplicative order of the bases it feeds, so the full solution set lives
-on a finite torus which is enumerated outright.  A "killing modulus" is an
-m whose torus holds no solutions under the given constraints: it certifies
-that the original equation has no integer solutions satisfying them.
+on a finite torus, which is enumerated exactly: independent groups of
+variables as separate partial sums, joined by residue.  A "killing
+modulus" is an m whose torus holds no solutions under the given
+constraints: it certifies that the original equation has no integer
+solutions satisfying them.
 """
 
 from __future__ import annotations
@@ -259,6 +261,13 @@ def congruence_solutions(
     exponent of the shape sym*(linear) is enumerated as one opaque atom
     over all residues, which can only enlarge the solution set and so
     keeps emptiness results sound.
+
+    The torus is not walked cell by cell.  Its variables are split into
+    a stored and a streamed side that no term or congruence spans
+    (_split_torus); the stored side's partial sums are tabulated by
+    residue, and each streamed cell with partial sum r meets exactly the
+    stored cells with residue -(offset + r) mod m, a meet in the middle
+    in the manner of baby-step giant-step.
     """
     if m < 2:
         raise SieveError(f"modulus must be >= 2, got {m}")
@@ -284,21 +293,89 @@ def congruence_solutions(
         (lin, cm) for lin, cm in constraints.congruences if lin.variables() <= set(names)
     ]
     offset, compiled = _compile_terms(live, names, periods, m)
+    stored_side, streamed_side = _split_torus(names, candidates, compiled, relevant_congruences)
+    stored: dict[int, list[tuple[int, ...]]] = {}
+    for total, part in _side_sums(stored_side, names, candidates, compiled, relevant_congruences):
+        stored.setdefault(total % m, []).append(part)
+    # position in (stored values + streamed values) of each variable of names
+    at = {i: k for k, i in enumerate(stored_side + streamed_side)}
+    order = [at[i] for i in range(len(names))]
     solutions: set[tuple[int, ...]] = set()
-    for combo in iproduct(*candidates):
-        if relevant_congruences:
-            values = dict(zip(names, combo))
-            if any(lin.evaluate(values) % cm != 0 for lin, cm in relevant_congruences):
+    for total, part in _side_sums(streamed_side, names, candidates, compiled, relevant_congruences):
+        for head in stored.get((-offset - total) % m, ()):
+            cell = head + part
+            solutions.add(tuple([cell[k] for k in order]))
+    return ResidueClassSet(m, names, periods, frozenset(solutions))
+
+
+def _split_torus(
+    names: tuple[str, ...],
+    candidates: list[list[int]],
+    compiled: list[tuple[int, list[tuple[int, list[int]]]]],
+    congruences: list[tuple[Lin, int]],
+) -> tuple[list[int], list[int]]:
+    """Split the torus variables (by index) into a stored and a streamed side.
+
+    Variables fall into one group when a compiled term or a linear
+    congruence uses both, so no term or congruence spans two groups: the
+    sum of the terms splits into one partial sum per side, and each
+    congruence is checked on one side.  The smallest groups go to the
+    stored side while its cell count squared stays within the torus's,
+    which keeps the stored side at most the square root of the torus;
+    the other groups are streamed.
+    """
+    index = {name: i for i, name in enumerate(names)}
+    links = [{i for i, _ in tables} for _, tables in compiled]
+    links += [{index[v] for v in lin.variables()} for lin, _ in congruences]
+    groups = [{i} for i in range(len(names))]
+    for link in links:
+        touched = [g for g in groups if not g.isdisjoint(link)]
+        if touched:
+            groups = [g for g in groups if g.isdisjoint(link)] + [set().union(*touched)]
+    sized = sorted((math.prod(len(candidates[i]) for i in g), sorted(g)) for g in groups)
+    cells = math.prod(size for size, _ in sized)
+    stored: list[int] = []
+    stored_cells = 1
+    for size, group in sized:
+        if (stored_cells * size) ** 2 > cells:
+            break
+        stored += group
+        stored_cells *= size
+    return stored, [i for i in range(len(names)) if i not in stored]
+
+
+def _side_sums(
+    side: list[int],
+    names: tuple[str, ...],
+    candidates: list[list[int]],
+    compiled: list[tuple[int, list[tuple[int, list[int]]]]],
+    congruences: list[tuple[Lin, int]],
+):
+    """Yield (partial sum, values) for each cell of the sub-torus on the
+    variables at the indices in side: the sum, not yet reduced mod m, of
+    the compiled terms on those variables, and the cell's values in side
+    order.  Cells failing a congruence on those variables are left out.
+    """
+    at = {i: k for k, i in enumerate(side)}
+    side_names = [names[i] for i in side]
+    terms = [
+        (coef, [(at[i], table) for i, table in tables])
+        for coef, tables in compiled
+        if tables[0][0] in at
+    ]
+    checks = [(lin, cm) for lin, cm in congruences if lin.variables() <= set(side_names)]
+    for combo in iproduct(*(candidates[i] for i in side)):
+        if checks:
+            values = dict(zip(side_names, combo))
+            if any(lin.evaluate(values) % cm != 0 for lin, cm in checks):
                 continue
         # exact products of table entries, reduced once per cell
-        total = offset
-        for t, tables in compiled:
-            for i, table in tables:
-                t *= table[combo[i]]
+        total = 0
+        for t, tables in terms:
+            for k, table in tables:
+                t *= table[combo[k]]
             total += t
-        if total % m == 0:
-            solutions.add(combo)
-    return ResidueClassSet(m, names, periods, frozenset(solutions))
+        yield total, combo
 
 
 def _compile_terms(
@@ -363,8 +440,12 @@ def two_term_solutions(
 
 @dataclass(frozen=True)
 class KillingWitness:
-    modulus: int
-    solutions: ResidueClassSet
+    """The record of a killing-modulus scan.  modulus and solutions are the
+    killing modulus and its empty solution set, or None when no scanned
+    modulus kills; scanned and skipped list every modulus tried."""
+
+    modulus: int | None
+    solutions: ResidueClassSet | None
     scanned: tuple[int, ...]
     skipped: tuple[tuple[int, str], ...]
 
@@ -374,10 +455,11 @@ def find_killing_modulus(
     constraints: ConstraintSet | None = None,
     m_max: int = 200,
     order_cap: int = 120,
-) -> KillingWitness | None:
+) -> KillingWitness:
     """Smallest m <= m_max whose congruence has no solutions under the
-    constraints, or None.  Moduli the torus model cannot represent
-    (zero-divisor bases, oversized orders) are skipped and recorded."""
+    constraints, or a witness with modulus None.  Moduli the torus model
+    cannot represent (zero-divisor bases, oversized orders) are skipped
+    and recorded."""
     if m_max < 2:
         raise SieveError(f"m_max must be >= 2, got {m_max}")
     constraints = constraints or ConstraintSet.none()
@@ -392,4 +474,4 @@ def find_killing_modulus(
         scanned.append(m)
         if rcs.is_empty():
             return KillingWitness(m, rcs, tuple(scanned), tuple(skipped))
-    return None
+    return KillingWitness(None, None, tuple(scanned), tuple(skipped))

@@ -20,6 +20,8 @@ from jesma.certificate import (
     verify_inequality_step,
 )
 from jesma.certificate.ineq import IneqClaim
+from jesma.certificate.model import MAX_TREE_DEPTH
+from jesma.cli import main
 from jesma.search import find_solutions_scaled
 from jesma.sieve import ConstraintSet
 from jesma.symbolic import ExpExpr, Lin, Term
@@ -384,3 +386,39 @@ def test_malformed_certificates_rejected():
         loads_certificate(
             json.dumps({"version": "9", "title": "x", "equation": {}, "tree": {"step": {"kind": "k"}}})
         )
+
+
+def _nested_certificate(levels: int) -> str:
+    # written as text: the json module cannot serialise the deepest trees
+    step = '"step": {"kind": "contradiction", "reason": "empty-congruence"}'
+    tree = f'{{{step}, "children": [' * levels + "]}" * levels
+    text = dumps_certificate(mod17_kill())
+    obj = json.loads(text)
+    return text.replace(json.dumps(obj["tree"], sort_keys=True, separators=(",", ":")), tree)
+
+
+def test_tree_depth_cap():
+    # the cap sits above every shipped certificate and loads at its limit
+    deepest = max(_depth(c.tree) for c in builtin_certificates())
+    assert deepest < MAX_TREE_DEPTH
+    cert = loads_certificate(_nested_certificate(MAX_TREE_DEPTH))
+    assert not verify_certificate(cert).valid
+    with pytest.raises(MalformedCertificateError, match=f"deeper than {MAX_TREE_DEPTH} levels"):
+        loads_certificate(_nested_certificate(MAX_TREE_DEPTH + 1))
+    # too deep even for the JSON parser: malformed, not a RecursionError
+    with pytest.raises(MalformedCertificateError, match="nested too deeply"):
+        loads_certificate(_nested_certificate(2_000))
+
+
+@pytest.mark.parametrize("levels", [MAX_TREE_DEPTH + 1, 2_000])
+def test_deep_certificate_is_input_error(tmp_path, capsys, levels):
+    f = tmp_path / "deep.cert.json"
+    f.write_text(_nested_certificate(levels))
+    assert main(["verify", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("cannot load certificate: $")
+
+
+def _depth(node) -> int:
+    return 1 + max((_depth(c) for c in node.children), default=0)

@@ -151,6 +151,20 @@ def test_prove_satisfiable_congruence_exits_1(capsys):
     assert "no killing modulus" in err
 
 
+def test_prove_reports_scanned_and_skipped_moduli(tmp_path, capsys):
+    out_file = tmp_path / "kill.json"
+    terms = ["prove", "--terms", "101^z - 1 - 99^y*2^a*5^b"]
+    code, out, err = run([*terms, "--constraint", "z even", "--output", str(out_file)], capsys)
+    assert code == 0 and err == ""
+    assert out == f"killing modulus 17; 11 moduli scanned, 5 skipped; certificate written to {out_file}\n"
+    code, out, err = run([*terms, "--mmax", "40"], capsys)
+    assert code == 1 and out == ""
+    assert err == (
+        "no killing modulus up to 40: the congruence stays solvable on every checkable "
+        "modulus (20 moduli scanned, 19 skipped)\n"
+    )
+
+
 def test_prove_range_too_small_exits_1(capsys):
     code, _, err = run(
         ["prove", "--terms", "101^z - 1 - 99^y*2^a*5^b", "--constraint", "z even", "--mmax", "2"],

@@ -4,7 +4,16 @@ import json
 import pytest
 
 from jesma.cli import main
-from jesma.corpus import CorpusError, load_corpus, load_default_corpus, run_corpus, run_entry
+from jesma.corpus import (
+    BOUND_MAX,
+    EXPECTED_BITS_MAX,
+    K_RANGE_MAX,
+    CorpusError,
+    load_corpus,
+    load_default_corpus,
+    run_corpus,
+    run_entry,
+)
 
 
 def test_default_corpus_loads_clean():
@@ -83,8 +92,22 @@ GOOD = {"form": "general", "bases": ["3", "2", "5"], "x_max": "5", "y_max": "5",
         ({"form": "pythag", "triple": ["3", "4", "5"], "k": "0"}, "scale k must be >= 1, got 0"),
         ({"form": "general", "bases": ["3", "2", "5"], "expected": [["1", "1"]]},
          "expected solution (1, 1) needs three exponents"),
+        ({"form": "pythag", "triple": ["3", "4", "5"], "k_range": ["5", "1"]},
+         f"k_range [5, 1] must list 1 to {K_RANGE_MAX} scales"),
+        ({"form": "pythag", "triple": ["3", "4", "5"], "k_range": ["1", str(K_RANGE_MAX + 1)]},
+         f"k_range [1, {K_RANGE_MAX + 1}] must list 1 to {K_RANGE_MAX} scales"),
+        ({"form": "general", "bases": ["3", "2", "5"], "y_max": str(BOUND_MAX + 1)},
+         f"bounds must be <= {BOUND_MAX}"),
+        ({"form": "general", "bases": ["3", "2", "5"], "x_max": "5", "expected": [["6", "1", "1"]]},
+         "expected solution (6, 1, 1) lies outside the grid [1, 5] x [1, 30]"),
+        ({"form": "terai", "b": "3", "c": "5", "expected": [["2", "11", "1"]]},
+         "expected solution (2, 11, 1) lies outside the grid [1, 10] x [1, 10]"),
+        ({"form": "general", "bases": ["3", "2", "5"], "expected": [["1", "1", "300000000"]]},
+         f"expected solution (1, 1, 300000000) forms a power over {EXPECTED_BITS_MAX} bits"),
     ],
-    ids=["x_max-0", "m_max-negative", "base-1", "eisenstein-condition", "k-0", "expected-arity"],
+    ids=["x_max-0", "m_max-negative", "base-1", "eisenstein-condition", "k-0", "expected-arity",
+         "k_range-empty", "k_range-wide", "bound-cap", "expected-off-grid", "terai-off-grid",
+         "expected-bits"],
 )
 def test_invalid_instance_is_malformed_entry(tmp_path, capsys, monkeypatch, bad, reason, threads):
     monkeypatch.delenv("JESMA_THREADS", raising=False)

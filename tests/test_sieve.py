@@ -106,7 +106,7 @@ def test_true_identity_never_killed():
         Term.of(1, (4, v("y"))),
         Term.of(-1, (5, v("z"))),
     ]
-    assert find_killing_modulus(terms, m_max=60) is None
+    assert find_killing_modulus(terms, m_max=60).modulus is None
 
 
 def test_solutions_re_verify_exactly():
@@ -208,7 +208,7 @@ def test_enumeration_is_sound_and_complete(m, a, b, c):
 def test_order_cap_skips_heavy_moduli():
     w = find_killing_modulus(KILL_TERMS, ConstraintSet.none().with_parity("z", 0), m_max=100, order_cap=2)
     # with a tiny order cap most moduli are skipped, but 17 needs order 8 for 2
-    assert w is None or w.modulus != 17
+    assert w.modulus != 17
 
 
 def _reference_solutions(terms, m, constraints, order_cap):
@@ -261,11 +261,11 @@ exponents = st.one_of(
 )
 
 
-def _terms(exps, min_powers):
+def _terms(exps, min_powers, bases=st.integers(2, 30)):
     return st.builds(
         lambda coef, powers: Term(coef, tuple(Power(b, e) for b, e in powers)),
         st.sampled_from([1, -1, 2, -2, 3, -3, 5, -7, 9]),
-        st.lists(st.tuples(st.integers(2, 30), exps), min_size=min_powers, max_size=3),
+        st.lists(st.tuples(bases, exps), min_size=min_powers, max_size=3),
     )
 
 
@@ -300,16 +300,52 @@ def _apply(cons, op):
     return cons.with_congruence(*args)
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    terms_st,
-    st.one_of(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]), st.integers(2, 40)),
-    st.lists(constraint_ops, max_size=3),
-    st.sampled_from([None, 6, 12]),
+# each varying term draws its variables from its own pool, so the torus
+# usually splits into two or more independent groups; congruences over
+# JOINT_VARS may link groups back together.  Mostly prime bases and
+# moduli keep most examples on a representable torus.
+POOLS = (("x", "y"), ("z",), ("w",))
+JOINT_VARS = ("x", "y", "z", "w")
+UNIT_BASES = st.sampled_from([2, 3, 5, 7, 11, 13, 20, 99, 101])
+
+
+def _pool_exponents(pool):
+    pool_lins = st.builds(
+        lambda coeffs, const: Lin.of(const, **coeffs),
+        st.dictionaries(st.sampled_from(pool), st.sampled_from([1, -1, 2, -3]), min_size=1, max_size=2),
+        st.integers(-3, 3),
+    )
+    return st.one_of(
+        st.builds(ExpExpr, pool_lins),
+        st.builds(ExpExpr, st.sampled_from([Lin.var(v) for v in pool]), st.just("r"), st.integers(-2, 3)),
+        st.builds(lambda c: ExpExpr(Lin.const_of(c)), st.integers(0, 9)),
+    )
+
+
+grouped_terms_st = st.builds(
+    lambda varying, fixed: [t for ts in varying for t in ts] + fixed,
+    st.tuples(*(st.lists(_terms(_pool_exponents(pool), 1, UNIT_BASES), min_size=1, max_size=1 + (i == 0))
+                for i, pool in enumerate(POOLS))),
+    st.lists(_terms(st.builds(lambda c: ExpExpr(Lin.const_of(c)), st.integers(0, 9)), 0), max_size=1),
 )
-def test_tables_match_per_cell_reference(terms, m, ops, order_cap):
-    """The table kernel gives the reference's exact ResidueClassSet, or
-    raises the same exception type."""
+# a variable of the first pool against one of another pool
+joint_lins = st.builds(
+    lambda u, w, cu, cw, const: Lin.of(const, **{u: cu, w: cw}),
+    st.sampled_from(POOLS[0]),
+    st.sampled_from(POOLS[1] + POOLS[2]),
+    st.sampled_from([1, -1, 2]),
+    st.sampled_from([1, -1, 2]),
+    st.integers(-2, 2),
+)
+grouped_constraint_ops = st.one_of(
+    st.tuples(st.just("fixed"), st.sampled_from(JOINT_VARS), st.integers(0, 9)),
+    st.tuples(st.just("residue"), st.sampled_from(JOINT_VARS), st.integers(2, 4),
+              st.sets(st.integers(0, 5), max_size=3)),
+    st.tuples(st.just("congruence"), joint_lins, st.integers(2, 4)),
+)
+
+
+def _check_against_reference(terms, m, ops, order_cap):
     cons = ConstraintSet.none()
     for op in ops:
         cons = _apply(cons, op)
@@ -322,3 +358,47 @@ def test_tables_match_per_cell_reference(terms, m, ops, order_cap):
                 congruence_solutions(terms, m, cons, order_cap=order_cap)
             return
         assert congruence_solutions(terms, m, cons, order_cap=order_cap) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    terms_st,
+    st.one_of(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]), st.integers(2, 40)),
+    st.lists(constraint_ops, max_size=3),
+    st.sampled_from([None, 6, 12]),
+)
+def test_tables_match_per_cell_reference(terms, m, ops, order_cap):
+    """The table kernel gives the reference's exact ResidueClassSet, or
+    raises the same exception type."""
+    _check_against_reference(terms, m, ops, order_cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grouped_terms_st,
+    st.one_of(st.sampled_from([3, 5, 7, 9, 11, 13, 17]), st.integers(2, 24)),
+    st.lists(grouped_constraint_ops, max_size=3),
+    st.sampled_from([None, 6, 12]),
+)
+def test_grouped_tori_match_per_cell_reference(terms, m, ops, order_cap):
+    """Tori that split into independent groups, joined by residue, give the
+    reference's exact ResidueClassSet, also when congruences link groups."""
+    _check_against_reference(terms, m, ops, order_cap)
+
+
+def test_sieve_scan_torus_matches_reference():
+    # the benchmark's no-kill scan at m = 37: z alone against (a, b, y)
+    cons = ConstraintSet.none()
+    expected = _reference_solutions(KILL_TERMS, 37, cons, 120)
+    assert expected.periods == (36, 36, 18, 6) and len(expected) == 3240
+    sides = []
+
+    def spy(side, *args):
+        sides.append([expected.variables[i] for i in side])
+        return real(side, *args)
+
+    real = sieve._side_sums
+    with mock.patch.object(sieve, "_side_sums", spy):
+        assert congruence_solutions(KILL_TERMS, 37, cons, order_cap=120) == expected
+    # z is stored (6 cells, 6^2 <= 23,328) and (a, b, y) streamed against it
+    assert sides == [["z"], ["a", "b", "y"]]
