@@ -15,7 +15,6 @@ __all__ = [
     "factorize",
     "is_perfect_power_of",
     "is_prime",
-    "modpow",
     "mult_order",
     "radical",
     "valuation",
@@ -26,25 +25,6 @@ _TRIAL_LIMIT = 10**6
 
 class ArithError(ValueError):
     """Invalid argument to an arithmetic primitive."""
-
-
-def modpow(base: int, exp: int, m: int) -> int:
-    """base**exp mod m for m >= 2 and exp >= 0.
-
-    >>> modpow(5, 0, 7)
-    1
-    >>> modpow(2, 10, 33)
-    1
-    >>> modpow(101, 2, 17)
-    1
-    """
-    if m < 2:
-        raise ArithError(f"modulus must be >= 2, got {m}")
-    if exp < 0:
-        raise ArithError(f"exponent must be >= 0, got {exp}")
-    if base < 0:
-        raise ArithError(f"base must be >= 0, got {base}")
-    return pow(base, exp, m)
 
 
 def _sieve(limit: int) -> list[int]:

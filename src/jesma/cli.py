@@ -24,7 +24,7 @@ from .certificate import (
     verify_certificate,
 )
 from .corpus import CorpusError, load_corpus, load_default_corpus, run_corpus
-from .search import FORMS, DegenerateBaseError, default_threads, find_solutions, scaled_bases
+from .search import FORMS, DegenerateBaseError, find_solutions, scaled_bases
 from .sieve import ConstraintSet, find_killing_modulus
 from .symbolic import ExpExpr, Lin, Term
 from .triples import FAMILIES, Triple
@@ -47,10 +47,9 @@ def _sols_str(solutions) -> str:
 
 
 def cmd_search(args) -> int:
-    threads = args.threads or default_threads()
     try:
         form, bases, (x_max, y_max) = _instance_from_args(args)
-        report = find_solutions(bases, x_max, y_max, form=form, threads=threads)
+        report = find_solutions(bases, x_max, y_max, form=form)
     except DegenerateBaseError as e:
         print(f"degenerate instance: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -113,9 +112,8 @@ def cmd_corpus(args) -> int:
     if not entries and not problems:
         print("warning: corpus is empty", file=sys.stderr)
         return EXIT_OK
-    threads = args.threads or default_threads()
     start = time.perf_counter()
-    results = run_corpus(entries, threads=threads)
+    results = run_corpus(entries)
     elapsed = time.perf_counter() - start
     failures = [r for r in results if not r.passed]
     lines = [
@@ -145,6 +143,11 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if not failures else EXIT_MATH
 
 
+# A certificate stores a coefficient as decimal text, and Python converts at
+# most 4,300 digits (about 14,280 bits) between int and str.  A term's constant
+# part is judged by the sum of exponent times base bit length over its factors,
+# an upper bound on its bit length that needs no power formed.
+CONST_BITS_MAX = 14_000
 _TERM_RE = re.compile(r"\s*([+-])?\s*([^+-]+)")
 _FACTOR_RE = re.compile(r"^(\d+)(?:\^([A-Za-z_]\w*|\d+))?$")
 
@@ -162,6 +165,7 @@ def parse_terms(text: str) -> list[Term]:
         if m.group(1) is None and not first:
             raise ValueError(f"missing sign before {m.group(2).strip()!r}")
         coef = sign
+        const_bits = 0
         powers = []
         for factor in m.group(2).strip().split("*"):
             fm = _FACTOR_RE.match(factor.strip())
@@ -169,10 +173,15 @@ def parse_terms(text: str) -> list[Term]:
                 raise ValueError(f"cannot parse factor {factor.strip()!r}")
             base = int(fm.group(1))
             exp = fm.group(2)
-            if exp is None:
-                coef *= base
-            elif exp.isdigit():
-                coef *= base ** int(exp)
+            if exp is None or exp.isdigit():
+                n = 1 if exp is None else int(exp)
+                const_bits += n * base.bit_length()
+                if const_bits > CONST_BITS_MAX:
+                    raise ValueError(
+                        f"the constant part of {m.group(2).strip()!r} is too large for a certificate "
+                        f"(exponent times base bit length over {CONST_BITS_MAX})"
+                    )
+                coef *= base**n
             else:
                 powers.append((base, ExpExpr(Lin.var(exp))))
         terms.append(Term.of(coef, *powers))
@@ -207,10 +216,10 @@ def cmd_prove(args) -> int:
         cons = ConstraintSet.none()
         for c in args.constraint or []:
             cons = parse_constraint(cons, c)
-    except ValueError as e:
+        witness = find_killing_modulus(terms, cons, m_max=args.mmax, order_cap=args.order_cap)
+    except ValueError as e:  # SieveError is one: m_max or order_cap out of range
         print(f"bad input: {e}", file=sys.stderr)
         return EXIT_INPUT
-    witness = find_killing_modulus(terms, cons, m_max=args.mmax, order_cap=args.order_cap)
     scan = f"{len(witness.scanned)} moduli scanned, {len(witness.skipped)} skipped"
     if witness.modulus is None:
         print(
@@ -301,25 +310,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, help="general/eisenstein base a")
     p.add_argument("--b", type=int, help="general/eisenstein/terai base b")
     p.add_argument("--c", type=int, help="general/eisenstein/terai base c")
-    p.add_argument("--xmax", type=int, default=30)
-    p.add_argument("--ymax", type=int, default=30)
-    p.add_argument("--mmax", type=int, default=10, help="terai: bound on m")
-    p.add_argument("--nmax", type=int, default=10, help="terai: bound on n")
-    p.add_argument("--threads", type=int, default=0, help="0 = JESMA_THREADS or cpu count")
+    p.add_argument("--xmax", type=int, default=30, help="bound on x, 1 to 1000")
+    p.add_argument("--ymax", type=int, default=30, help="bound on y, 1 to 1000")
+    p.add_argument("--mmax", type=int, default=10, help="terai: bound on m, 1 to 1000")
+    p.add_argument("--nmax", type=int, default=10, help="terai: bound on n, 1 to 1000")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("corpus", help="re-run the catalogue of known solution sets")
     p.add_argument("--file", help="corpus JSON file (default: the shipped corpus)")
-    p.add_argument("--threads", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("prove", help="search for a killing modulus and emit a certificate")
     p.add_argument("--terms", required=True, help="e.g. '101^z - 1 - 99^y*2^a*5^b'")
     p.add_argument("--constraint", action="append", help="'z even', 'x=2' or 'z%%10=8'")
-    p.add_argument("--mmax", type=int, default=200, help="largest modulus to scan")
-    p.add_argument("--order-cap", type=int, default=120, help="skip moduli with larger orders")
+    p.add_argument("--mmax", type=int, default=200, help="largest modulus to scan, 2 to 1000")
+    p.add_argument("--order-cap", type=int, default=120, help="skip moduli with larger orders (>= 1)")
     p.add_argument("--title", help="certificate title")
     p.add_argument("--output", help="write the certificate here instead of stdout")
     p.set_defaults(func=cmd_prove)

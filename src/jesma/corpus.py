@@ -17,15 +17,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .search import FORMS, check_instance, find_solutions, scaled_bases
+from .search import FORMS, check_instance, find_solutions, pool_workers, scaled_bases
 from .triples import FAMILIES, Triple
 
 __all__ = ["CorpusEntry", "CorpusError", "load_corpus", "load_default_corpus", "run_corpus", "run_entry"]
 
 # Load-time work limits: a corpus entry is untrusted input, so neither its
 # searches nor the exact substitution of its expected solutions may grow
-# without bound.
-BOUND_MAX = 1_000  # largest x_max / y_max (m_max / n_max for terai)
+# without bound.  check_instance caps the bounds of each search.
 K_RANGE_MAX = 100  # most scales one pythag k_range may list
 EXPECTED_BITS_MAX = 1 << 20  # largest power, in bits, formed to re-verify an expected solution
 
@@ -89,8 +88,6 @@ def _parse_entry(obj: dict, index: int) -> CorpusEntry:
             searches = (("", bases),)
         else:
             raise CorpusError(f"{where}: unknown form {form!r}")
-        if max(x_max, y_max) > BOUND_MAX:
-            raise CorpusError(f"{where}: bounds must be <= {BOUND_MAX}")
         for _, bases in searches:
             check_instance(bases, x_max, y_max, form)
         spec = FORMS[form]
@@ -167,8 +164,9 @@ def run_entry(entry: CorpusEntry) -> EntryResult:
     return EntryResult(entry.id, not mismatches, "; ".join(mismatches), time.perf_counter() - start)
 
 
-def run_corpus(entries: list[CorpusEntry], threads: int = 1) -> list[EntryResult]:
-    if threads > 1 and len(entries) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+def run_corpus(entries: list[CorpusEntry]) -> list[EntryResult]:
+    workers = pool_workers(max(e.x_max * e.y_max for e in entries)) if len(entries) > 1 else 1
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_entry, entries))
     return [run_entry(e) for e in entries]

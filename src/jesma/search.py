@@ -9,6 +9,7 @@ third exponent never needs its own bound because the grid cell fixes it.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import time
 from collections.abc import Callable
@@ -30,6 +31,11 @@ __all__ = [
     "find_solutions_scaled",
     "scaled_bases",
 ]
+
+BOUND_MAX = 1_000  # largest x_max / y_max: a search's work grows with x_max * y_max
+# Grid cells from which splitting rows over one process per CPU beats a single
+# process, measured on 2 CPUs: below it the pool's start-up costs more than it saves.
+POOL_MIN_CELLS = 250 * 250
 
 
 class DegenerateBaseError(ValueError):
@@ -127,12 +133,11 @@ class Form:
     holds: Callable[[tuple[int, ...], tuple[int, ...]], bool]
     equation: str  # str.format template over the base letters
     precondition: Callable[[tuple[int, ...]], None] | None = None  # raises ValueError
-    pooled: bool = False  # whether grid rows may be split across processes
     exponents: tuple[int, ...] = (0, 1, 2)  # where a solution holds exponents, grid pair first
 
 
 FORMS = {
-    "general": Form("abc", _scan_general, _holds_general, "{a}^x + {b}^y = {c}^z", pooled=True),
+    "general": Form("abc", _scan_general, _holds_general, "{a}^x + {b}^y = {c}^z"),
     "terai": Form("bc", _scan_terai, _holds_terai, "x^2 + {b}^m = {c}^n", exponents=(1, 2)),
     "eisenstein": Form(
         "abc",
@@ -165,6 +170,8 @@ class SearchReport:
 def check_instance(bases: tuple[int, ...], x_max: int, y_max: int, form: str) -> Form:
     """Raise for an instance with no finite bounded answer; return its form."""
     spec = FORMS[form]
+    if max(x_max, y_max) > BOUND_MAX:
+        raise ValueError(f"bounds must be <= {BOUND_MAX}")
     for b in bases:
         if b <= 1:
             raise DegenerateBaseError(
@@ -178,12 +185,18 @@ def check_instance(bases: tuple[int, ...], x_max: int, y_max: int, form: str) ->
     return spec
 
 
+def pool_workers(cells: int) -> int:
+    """Processes for a search of `cells` grid cells: one per CPU from
+    POOL_MIN_CELLS up, except inside a pool worker, and else one."""
+    pooled = cells >= POOL_MIN_CELLS and multiprocessing.parent_process() is None
+    return (os.cpu_count() or 1) if pooled else 1
+
+
 def find_solutions(
     bases: tuple[int, ...],
     x_max: int = 30,
     y_max: int = 30,
     form: str = "general",
-    threads: int = 1,
 ) -> SearchReport:
     """All solutions of the form's equation with its grid exponents in
     [1, x_max] x [1, y_max]; for the general form, all (x, y, z) with
@@ -193,10 +206,11 @@ def find_solutions(
     bases = tuple(bases)
     spec = check_instance(bases, x_max, y_max, form)
     start = time.perf_counter()
-    if spec.pooled and threads > 1 and x_max >= 4:
-        chunk = (x_max + threads - 1) // threads
+    workers = pool_workers(x_max * y_max)
+    if workers > 1:
+        chunk = (x_max + workers - 1) // workers
         rows = [range(lo, min(lo + chunk, x_max + 1)) for lo in range(1, x_max + 1, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(spec.scan, repeat(bases), rows, repeat(y_max))
         found = [s for part in parts for s in part]
     else:
@@ -217,18 +231,7 @@ def scaled_bases(t: Triple, k: int) -> tuple[int, int, int]:
     return (k * t.u, k * t.v, k * t.w)
 
 
-def find_solutions_scaled(
-    t: Triple, k: int, x_max: int = 30, y_max: int = 30, threads: int = 1
-) -> SearchReport:
+def find_solutions_scaled(t: Triple, k: int, x_max: int = 30, y_max: int = 30) -> SearchReport:
     """Search (kU)^x + (kV)^y = (kW)^z for the given triple and scale."""
-    return find_solutions(scaled_bases(t, k), x_max, y_max, threads=threads)
+    return find_solutions(scaled_bases(t, k), x_max, y_max)
 
-
-def default_threads() -> int:
-    env = os.environ.get("JESMA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 TORUS_CELL_LIMIT = 4_000_000
+MODULUS_SCAN_MAX = 1_000  # largest m_max of find_killing_modulus: each modulus may cost a torus
 
 
 class SieveError(ValueError):
@@ -460,8 +461,10 @@ def find_killing_modulus(
     constraints, or a witness with modulus None.  Moduli the torus model
     cannot represent (zero-divisor bases, oversized orders) are skipped
     and recorded."""
-    if m_max < 2:
-        raise SieveError(f"m_max must be >= 2, got {m_max}")
+    if not 2 <= m_max <= MODULUS_SCAN_MAX:
+        raise SieveError(f"m_max must be in [2, {MODULUS_SCAN_MAX}], got {m_max}")
+    if order_cap < 1:
+        raise SieveError(f"order_cap must be >= 1, got {order_cap}")
     constraints = constraints or ConstraintSet.none()
     scanned: list[int] = []
     skipped: list[tuple[int, str]] = []

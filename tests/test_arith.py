@@ -8,24 +8,10 @@ from jesma.arith import (
     factorize,
     is_perfect_power_of,
     is_prime,
-    modpow,
     mult_order,
     radical,
     valuation,
 )
-
-
-def test_modpow_examples():
-    assert modpow(5, 0, 7) == 1
-    assert modpow(2, 10, 33) == 1
-    assert modpow(101, 2, 17) == 1
-
-
-def test_modpow_rejects_bad_modulus():
-    with pytest.raises(ArithError):
-        modpow(2, 3, 1)
-    with pytest.raises(ArithError):
-        modpow(2, 3, -5)
 
 
 def test_mult_order_examples():

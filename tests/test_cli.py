@@ -15,7 +15,7 @@ def run(argv, capsys):
 def test_search_lu_family(capsys):
     code, out, _ = run(
         ["search", "--form", "pythag", "--family", "lu", "--n", "5", "--k", "1",
-         "--xmax", "20", "--ymax", "20", "--threads", "1"],
+         "--xmax", "20", "--ymax", "20"],
         capsys,
     )
     assert code == 0
@@ -23,7 +23,7 @@ def test_search_lu_family(capsys):
 
 
 def test_search_general_two_solutions(capsys):
-    code, out, _ = run(["search", "--form", "general", "--a", "89", "--b", "2", "--c", "91", "--threads", "1"], capsys)
+    code, out, _ = run(["search", "--form", "general", "--a", "89", "--b", "2", "--c", "91"], capsys)
     assert code == 0
     assert "(1,1,1)" in out and "(1,13,2)" in out
 
@@ -36,7 +36,7 @@ def test_search_degenerate_base_exits_3(capsys):
 
 def test_search_json_report(capsys):
     code, out, _ = run(
-        ["search", "--form", "general", "--a", "3", "--b", "2", "--c", "5", "--json", "--threads", "1"],
+        ["search", "--form", "general", "--a", "3", "--b", "2", "--c", "5", "--json"],
         capsys,
     )
     assert code == 0
@@ -65,7 +65,7 @@ def test_search_terai_and_eisenstein(capsys):
     ids=["pythag", "pythag-family", "general", "terai", "eisenstein"],
 )
 def test_search_json_instance_per_form(capsys, argv, instance):
-    code, out, _ = run(["search", *argv, "--xmax", "5", "--ymax", "5", "--json", "--threads", "1"], capsys)
+    code, out, _ = run(["search", *argv, "--xmax", "5", "--ymax", "5", "--json"], capsys)
     assert code == 0
     assert json.loads(out)["instance"] == instance
 
@@ -87,7 +87,7 @@ def test_search_names_missing_flags(capsys, argv, message):
 
 
 def test_corpus_shipped_passes(capsys):
-    code, out, _ = run(["corpus", "--threads", "2"], capsys)
+    code, out, _ = run(["corpus"], capsys)
     assert code == 0
     assert "49/49 entries pass" in out
 
@@ -106,7 +106,7 @@ def test_corpus_wrong_expectation_fails(tmp_path, capsys):
     ]
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(bad))
-    code, out, _ = run(["corpus", "--file", str(f), "--threads", "1"], capsys)
+    code, out, _ = run(["corpus", "--file", str(f)], capsys)
     assert code == 1
     assert "FAIL" in out
 
@@ -127,7 +127,7 @@ def test_corpus_malformed_entry_diagnosed(tmp_path, capsys):
     ]
     f = tmp_path / "mixed.json"
     f.write_text(json.dumps(data))
-    code, out, err = run(["corpus", "--file", str(f), "--threads", "1"], capsys)
+    code, out, err = run(["corpus", "--file", str(f)], capsys)
     assert code == 2
     assert "malformed" in err and "PASS ok" in out
 
@@ -178,6 +178,30 @@ def test_prove_bad_terms_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["prove", "--terms", "3^x - 9^y", "--mmax", "1"], "bad input: m_max must be in [2, 1000], got 1"),
+        (["prove", "--terms", "3^x - 9^y", "--mmax", "100000000"],
+         "bad input: m_max must be in [2, 1000], got 100000000"),
+        (["prove", "--terms", "3^x - 9^y", "--order-cap", "0"], "bad input: order_cap must be >= 1, got 0"),
+        (["prove", "--terms", "2^20000 - 1"], "bad input: the constant part of '2^20000' is too large"),
+        (["prove", "--terms", "2^99999999999 - 3^x"],
+         "bad input: the constant part of '2^99999999999' is too large"),
+        (["search", "--form", "general", "--a", "3", "--b", "2", "--c", "5",
+          "--xmax", "100000000", "--ymax", "100000000"], "bad instance: bounds must be <= 1000"),
+        (["search", "--form", "terai", "--b", "3", "--c", "5", "--nmax", "1001"],
+         "bad instance: bounds must be <= 1000"),
+    ],
+    ids=["mmax-1", "mmax-huge", "order-cap-0", "constant-digits", "constant-exponent", "search-bounds",
+         "terai-bounds"],
+)
+def test_out_of_range_input_exits_2(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+
+
 def test_verify_builtin_and_mutated(tmp_path, capsys):
     code, out, _ = run(["verify", "--builtin", "has only (2,2,2)"], capsys)
     assert code == 0 and "valid" in out
@@ -207,6 +231,15 @@ def test_parse_terms_round_trip():
     assert terms[1].coef == -1 and not terms[1].powers
     assert terms[2].coef == -1 and len(terms[2].powers) == 3
     assert parse_terms("2^3*7 - 5^x")[0].coef == 56
+
+
+def test_parse_terms_bounds_constant_part():
+    # 2 has bit length 2, so 2^7000 is the largest power of 2 a term may hold
+    assert parse_terms("2^7000 - 5^x")[0].coef == 2**7000
+    with pytest.raises(ValueError, match="too large for a certificate"):
+        parse_terms("2^7001 - 5^x")
+    with pytest.raises(ValueError, match="too large for a certificate"):
+        parse_terms("2^3500*2^3501 - 5^x")  # the factors' bounds add up
 
 
 def test_parse_constraints():

@@ -5,7 +5,6 @@ import pytest
 
 from jesma.cli import main
 from jesma.corpus import (
-    BOUND_MAX,
     EXPECTED_BITS_MAX,
     K_RANGE_MAX,
     CorpusError,
@@ -14,6 +13,7 @@ from jesma.corpus import (
     run_corpus,
     run_entry,
 )
+from jesma.search import BOUND_MAX
 
 
 def test_default_corpus_loads_clean():
@@ -48,14 +48,21 @@ def test_non_array_corpus_rejected():
         load_corpus("[")
 
 
-def test_parallel_run_matches_serial():
+def test_parallel_run_matches_serial(request):
     entries, _ = load_default_corpus()
     subset = entries[:12]
-    serial = run_corpus(subset, threads=1)
-    parallel = run_corpus(subset, threads=4)
+    serial = run_corpus(subset)
+    started = request.getfixturevalue("force_pool")
+    parallel = run_corpus(subset)
+    assert started == [3]
     assert [(r.entry_id, r.passed, r.detail) for r in serial] == [
         (r.entry_id, r.passed, r.detail) for r in parallel
     ]
+
+
+def test_small_corpus_starts_no_pool(no_pool):
+    entries, _ = load_default_corpus()
+    assert all(r.passed for r in run_corpus(entries))
 
 
 def test_run_entry_reports_mismatch_detail():
@@ -81,7 +88,7 @@ GOOD = {"form": "general", "bases": ["3", "2", "5"], "x_max": "5", "y_max": "5",
         "expected": [["1", "1", "1"], ["2", "4", "2"]]}
 
 
-@pytest.mark.parametrize("threads", [["--threads", "1"], []], ids=["serial", "default-pool"])
+@pytest.mark.parametrize("pool", ["no_pool", "force_pool"], ids=["serial", "default-pool"])
 @pytest.mark.parametrize(
     "bad, reason",
     [
@@ -109,11 +116,11 @@ GOOD = {"form": "general", "bases": ["3", "2", "5"], "x_max": "5", "y_max": "5",
          "k_range-empty", "k_range-wide", "bound-cap", "expected-off-grid", "terai-off-grid",
          "expected-bits"],
 )
-def test_invalid_instance_is_malformed_entry(tmp_path, capsys, monkeypatch, bad, reason, threads):
-    monkeypatch.delenv("JESMA_THREADS", raising=False)
+def test_invalid_instance_is_malformed_entry(tmp_path, capsys, request, bad, reason, pool):
+    request.getfixturevalue(pool)
     f = tmp_path / "corpus.json"
     f.write_text(json.dumps([{"id": "a", **GOOD}, {"id": "bad", **bad}, {"id": "b", **GOOD}]))
-    code = main(["corpus", "--file", str(f), *threads])
+    code = main(["corpus", "--file", str(f)])
     out, err = capsys.readouterr()
     assert code == 2
     assert len(err.splitlines()) == 1

@@ -1,17 +1,21 @@
+import math
 import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import jesma
 from jesma.search import (
+    POOL_MIN_CELLS,
     DegenerateBaseError,
     SelfCheckError,
     find_solutions,
     find_solutions_scaled,
+    pool_workers,
 )
 from jesma.triples import Triple, lu_family
 
@@ -104,21 +108,33 @@ def test_report_self_checks_and_counts():
         assert 3**x + 2**y == 5**z
 
 
-def test_parallel_matches_serial():
-    serial = find_solutions((3, 2, 5), 25, 25, threads=1)
-    parallel = find_solutions((3, 2, 5), 25, 25, threads=3)
-    assert serial.solutions == parallel.solutions
+# one instance of each form, each with at least one solution in a 25 x 25 grid
+INSTANCES = [("general", (3, 2, 5)), ("terai", (3, 5)), ("eisenstein", (3, 5, 7))]
 
 
-def test_only_general_form_uses_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("process pool started")
+def test_parallel_matches_serial(request):
+    serial = [find_solutions(bases, 25, 25, form=form).solutions for form, bases in INSTANCES]
+    started = request.getfixturevalue("force_pool")
+    parallel = [find_solutions(bases, 25, 25, form=form).solutions for form, bases in INSTANCES]
+    assert started == [3, 3, 3]
+    assert parallel == serial and all(serial)
 
-    monkeypatch.setattr("jesma.search.ProcessPoolExecutor", no_pool)
-    assert find_solutions((3, 5), 10, 10, form="terai", threads=4).solution_set() == {(4, 2, 2)}
-    assert find_solutions((3, 5, 7), 10, 10, form="eisenstein", threads=4).solution_set() == {(1, 1, 2)}
+
+def test_small_grids_start_no_pool(no_pool):
+    side = math.isqrt(POOL_MIN_CELLS - 1)  # the largest square grid below the crossover
+    for form, bases in INSTANCES:
+        assert find_solutions(bases, side, side, form=form).solutions
+    assert find_solutions((340, 1683, 1717)).solutions == ((2, 2, 2),)  # the default 30 x 30
     with pytest.raises(AssertionError, match="process pool"):
-        find_solutions((3, 2, 5), 10, 10, threads=4)
+        find_solutions((3, 2, 5), side + 1, side + 1)
+
+
+def test_search_in_pool_worker_runs_serial(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert pool_workers(POOL_MIN_CELLS - 1) == 1
+    assert pool_workers(POOL_MIN_CELLS) == 4
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(pool_workers, POOL_MIN_CELLS).result() == 1
 
 
 def test_self_check_rejects_wrong_solution(monkeypatch):
