@@ -11,7 +11,7 @@ at that exact path.
 
 import copy
 
-from jesma.certificate import Certificate, theorem_20_99_101, verify_certificate
+from jesma.certificate import Certificate, builtin_certificates, verify_certificate
 
 
 def outline(node, depth=0, limit=3):
@@ -28,7 +28,7 @@ def outline(node, depth=0, limit=3):
         print("    " * (depth + 1) + f"... {len(node.children)} subtrees")
 
 
-cert = theorem_20_99_101()
+cert = builtin_certificates()[0]
 print(cert.title)
 print("=" * len(cert.title))
 outline(cert.tree)

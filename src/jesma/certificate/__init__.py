@@ -1,14 +1,15 @@
 """Machine-checkable nonexistence certificates and their verifier."""
 
-from .builtin import builtin_certificates, killing_certificate, mod17_kill, subcase_z_lt_x_lt_y, theorem_20_99_101
 from .engine import Verdict, verify_certificate, verify_inequality_step
 from .ineq import IneqClaim, check_ratio_rule, claim_from_json, claim_to_json
 from .model import (
     Certificate,
     MalformedCertificateError,
     Node,
+    builtin_certificates,
     canonical_json,
     dumps_certificate,
+    killing_certificate,
     loads_certificate,
 )
 
@@ -26,9 +27,6 @@ __all__ = [
     "dumps_certificate",
     "killing_certificate",
     "loads_certificate",
-    "mod17_kill",
-    "subcase_z_lt_x_lt_y",
-    "theorem_20_99_101",
     "verify_certificate",
     "verify_inequality_step",
 ]

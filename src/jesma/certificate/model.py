@@ -1,4 +1,4 @@
-"""Certificate data model and canonical JSON serialization.
+"""Certificate data model, canonical JSON serialization and the shipped certificates.
 
 Certificates are data, never programs: each step carries only what the
 verifier needs to recompute the claim from scratch.  All integers are
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Any
 
 from ..symbolic import ExpExpr, Lin, Power, Term
@@ -25,10 +26,10 @@ __all__ = [
     "terms_to_json",
     "terms_from_json",
     "canonical_json",
-    "certificate_to_json",
-    "certificate_from_json",
     "loads_certificate",
     "dumps_certificate",
+    "builtin_certificates",
+    "killing_certificate",
 ]
 
 SCHEMA_VERSION = "1"
@@ -177,14 +178,6 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def certificate_to_json(cert: Certificate) -> dict:
-    return cert.to_json()
-
-
-def certificate_from_json(obj: dict) -> Certificate:
-    return Certificate.from_json(obj)
-
-
 def dumps_certificate(cert: Certificate) -> str:
     return canonical_json(cert.to_json())
 
@@ -197,3 +190,41 @@ def loads_certificate(text: str) -> Certificate:
         raise MalformedCertificateError("$", f"invalid JSON: {e}")
     except RecursionError:
         raise MalformedCertificateError("$", "JSON nested too deeply to parse")
+
+
+# The shipped certificates in the order `builtin_certificates` returns them;
+# `jesma verify --builtin` takes the first whose title matches.
+_BUILTIN_FILES = ("theorem_20_99_101.cert.json", "subcase_z_lt_x_lt_y.cert.json", "mod17_kill.cert.json")
+
+
+def builtin_certificates() -> list[Certificate]:
+    """The shipped certificates: the (20k, 99k, 101k) theorem for k >= 2, its
+    z < x < y ordering on its own, and the mod 17 congruence kill.
+
+    They are data like any other certificate: the verifier trusts nothing
+    in them and re-derives every step.
+    """
+    data = resources.files("jesma.data")
+    return [loads_certificate(data.joinpath(name).read_text()) for name in _BUILTIN_FILES]
+
+
+def killing_certificate(terms, constraints, modulus: int, title: str = "") -> Certificate:
+    """Single-branch certificate wrapping a killing-modulus witness."""
+    cons_json: dict = {"residues": {}, "fixed": {}, "lower_bounds": {}}
+    for name, (m, allowed) in sorted(constraints.residues.items()):
+        cons_json["residues"][name] = {
+            "modulus": str(m),
+            "residues": [str(r) for r in sorted(allowed)],
+        }
+    for name, v in sorted(constraints.fixed.items()):
+        cons_json["fixed"][name] = str(v)
+    for name, b in sorted(constraints.lower_bounds.items()):
+        cons_json["lower_bounds"][name] = str(b)
+    leaf = {"kind": "contradiction", "reason": "empty-congruence", "eq": "main", "modulus": str(modulus)}
+    return Certificate(
+        title=title or f"congruence killed modulo {modulus}",
+        equation={"form": "congruence", "terms": terms_to_json(terms), "constraints": cons_json},
+        excluded=(),
+        tree=Node(leaf),
+        metadata={},
+    )

@@ -15,7 +15,6 @@ import time
 
 from . import __version__
 from .certificate import (
-    Certificate,
     MalformedCertificateError,
     builtin_certificates,
     dumps_certificate,
@@ -243,23 +242,20 @@ def cmd_prove(args) -> int:
     return EXIT_OK
 
 
-def _builtin_by_name(name: str) -> Certificate | None:
-    for cert in builtin_certificates():
-        slug = cert.title.split(":")[0].strip()
-        if name in (cert.title, slug) or name in cert.title:
-            return cert
-    return None
-
-
 def cmd_verify(args) -> int:
+    if args.file is not None and args.builtin is not None:
+        print("bad input: give a certificate file or --builtin, not both", file=sys.stderr)
+        return EXIT_INPUT
     try:
-        if args.builtin:
-            cert = _builtin_by_name(args.builtin)
+        if args.builtin is not None:
+            certs = builtin_certificates()
+            # the first title containing the name; an empty name matches none
+            cert = next((c for c in certs if args.builtin and args.builtin in c.title), None)
             if cert is None:
-                names = " | ".join(c.title for c in builtin_certificates())
+                names = " | ".join(c.title for c in certs)
                 print(f"no builtin certificate matches {args.builtin!r}; have: {names}", file=sys.stderr)
                 return EXIT_INPUT
-        elif args.file == "-":
+        elif args.file in (None, "-"):
             cert = loads_certificate(sys.stdin.read())
         else:
             with open(args.file) as f:
@@ -332,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("verify", help="re-check a certificate")
-    p.add_argument("file", nargs="?", default="-", help="certificate JSON ('-' for stdin)")
+    p.add_argument("file", nargs="?", help="certificate JSON (stdin if omitted or '-')")
     p.add_argument("--builtin", help="verify a shipped certificate by (partial) title")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 from importlib import resources
 
@@ -13,14 +14,11 @@ from jesma.certificate import (
     dumps_certificate,
     killing_certificate,
     loads_certificate,
-    mod17_kill,
-    subcase_z_lt_x_lt_y,
-    theorem_20_99_101,
     verify_certificate,
     verify_inequality_step,
 )
 from jesma.certificate.ineq import IneqClaim
-from jesma.certificate.model import MAX_TREE_DEPTH
+from jesma.certificate.model import MAX_TREE_DEPTH, Node, terms_to_json
 from jesma.cli import main
 from jesma.search import find_solutions_scaled
 from jesma.sieve import ConstraintSet
@@ -36,16 +34,29 @@ def test_builtins_all_valid():
         assert verdict.valid, f"{cert.title}: {verdict.describe()}"
 
 
-def test_shipped_files_match_builders():
-    names = {
-        "theorem_20_99_101.cert.json": theorem_20_99_101,
-        "subcase_z_lt_x_lt_y.cert.json": subcase_z_lt_x_lt_y,
-        "mod17_kill.cert.json": mod17_kill,
-    }
-    for fname, builder in names.items():
-        text = resources.files("jesma.data").joinpath(fname).read_text().strip()
-        assert text == dumps_certificate(builder())
-        assert verify_certificate(loads_certificate(text)).valid
+SHIPPED_SHA256 = {
+    "theorem_20_99_101.cert.json": "e7c51063d67a2239c15e8d885ba970929acefd5230713454288cdc6a8d29859f",
+    "subcase_z_lt_x_lt_y.cert.json": "d5d3f64cec600ddc5d15bcf5f9faf8d026a6113f9959eedfcc80ef0c55a2e216",
+    "mod17_kill.cert.json": "996790dd0d5bfa720b5c02af3d09a58e2416d6c02e33f7644f2c8c0f77116ec0",
+}
+
+
+def _shipped(name: str) -> dict:
+    return json.loads(resources.files("jesma.data").joinpath(f"{name}.cert.json").read_text())
+
+
+def test_shipped_files_pinned():
+    data = resources.files("jesma.data")
+    for fname, digest in SHIPPED_SHA256.items():
+        text = data.joinpath(fname).read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fname
+        assert dumps_certificate(loads_certificate(text)) + "\n" == text, fname
+    # every shipped certificate file is one that builtin_certificates() loads,
+    # so none ships without the verification test_builtins_all_valid runs
+    shipped = {f.name for f in data.iterdir() if f.name.endswith(".cert.json")}
+    assert shipped == set(SHIPPED_SHA256)
+    loaded = {dumps_certificate(c) + "\n" for c in builtin_certificates()}
+    assert loaded == {data.joinpath(f).read_text() for f in shipped}
 
 
 def test_serialization_round_trip():
@@ -58,8 +69,7 @@ def test_serialization_round_trip():
 
 
 def test_verifier_is_deterministic():
-    cert = theorem_20_99_101()
-    broken = copy.deepcopy(cert.to_json())
+    broken = _shipped("theorem_20_99_101")
     broken["tree"]["children"][4]["children"][3]["children"][0]["children"][0]["step"]["modulus"] = "19"
     v1 = verify_certificate(Certificate.from_json(broken))
     v2 = verify_certificate(Certificate.from_json(broken))
@@ -145,7 +155,7 @@ def _replace_in(step, old, new, key):
 
 
 def test_theorem_mutations_all_invalid():
-    base = theorem_20_99_101().to_json()
+    base = _shipped("theorem_20_99_101")
     count = 0
     for desc, mutate, prefix in _mutations_theorem(base):
         obj = copy.deepcopy(base)
@@ -174,7 +184,7 @@ def _mutations_small(base):
 
 
 def test_mod17_mutations_all_invalid():
-    base = mod17_kill().to_json()
+    base = _shipped("mod17_kill")
     count = 0
     for desc, mutate in _mutations_small(base):
         obj = copy.deepcopy(base)
@@ -220,7 +230,7 @@ def _replace_strict(obj):
 
 
 def test_subcase_mutations_all_invalid():
-    base = subcase_z_lt_x_lt_y().to_json()
+    base = _shipped("subcase_z_lt_x_lt_y")
     count = 0
     for desc, mutate in _mutations_subcase(base):
         obj = copy.deepcopy(base)
@@ -322,19 +332,19 @@ def test_killing_certificate_round_trip():
 
 
 def test_standalone_inequality_node():
-    from jesma.certificate.builtin import _claim, _t, _v
-    from jesma.certificate.model import Node, terms_to_json
-
-    terms = [_t(1, (7, _v("x"))), _t(-1, (7, _v("x"))), _t(-1)]
-    claim = _claim(
-        slacks=["u"],
-        mapping={"x": Lin.of(1, u=1)},
-        inverse={"u": (Lin.var("x") - 1, 1)},
-        lhs=[Term.of(1, (7, ExpExpr(Lin.of(1, u=1))))],
-        rhs=[Term.of(1, (5, ExpExpr(Lin.of(1, u=1))))],
-        ctx_lhs=[_t(1, (7, _v("x")))],
-        ctx_rhs=[_t(1, (5, _v("x")))],
-        strict=True,
+    x = ExpExpr(Lin.var("x"))
+    terms = [Term.of(1, (7, x)), Term.of(-1, (7, x)), Term.of(-1)]
+    claim = claim_to_json(
+        IneqClaim(
+            slacks=("u",),
+            mapping=(("x", Lin.of(1, u=1)),),
+            inverse=(("u", Lin.var("x") - 1, 1),),
+            lhs=(Term.of(1, (7, ExpExpr(Lin.of(1, u=1)))),),
+            rhs=(Term.of(1, (5, ExpExpr(Lin.of(1, u=1)))),),
+            ctx_lhs=(Term.of(1, (7, x)),),
+            ctx_rhs=(Term.of(1, (5, x)),),
+            strict=True,
+        )
     )
     tree = {
         "step": {"kind": "inequality", "claims": [claim]},
@@ -392,9 +402,8 @@ def _nested_certificate(levels: int) -> str:
     # written as text: the json module cannot serialise the deepest trees
     step = '"step": {"kind": "contradiction", "reason": "empty-congruence"}'
     tree = f'{{{step}, "children": [' * levels + "]}" * levels
-    text = dumps_certificate(mod17_kill())
-    obj = json.loads(text)
-    return text.replace(json.dumps(obj["tree"], sort_keys=True, separators=(",", ":")), tree)
+    obj = _shipped("mod17_kill")
+    return canonical_json(obj).replace(canonical_json(obj["tree"]), tree)
 
 
 def test_tree_depth_cap():

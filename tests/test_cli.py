@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from test_certificate import _shipped
 
 from jesma.cli import main, parse_constraint, parse_terms
 from jesma.sieve import ConstraintSet
@@ -192,9 +193,12 @@ def test_prove_bad_terms_exit_2(capsys):
           "--xmax", "100000000", "--ymax", "100000000"], "bad instance: bounds must be <= 1000"),
         (["search", "--form", "terai", "--b", "3", "--c", "5", "--nmax", "1001"],
          "bad instance: bounds must be <= 1000"),
+        (["verify", "bad.json", "--builtin", "killed"], "bad input: give a certificate file or --builtin"),
+        (["verify", "-", "--builtin", "killed"], "bad input: give a certificate file or --builtin"),
+        (["verify", "--builtin", ""], "no builtin certificate matches ''"),
     ],
     ids=["mmax-1", "mmax-huge", "order-cap-0", "constant-digits", "constant-exponent", "search-bounds",
-         "terai-bounds"],
+         "terai-bounds", "verify-file-and-builtin", "verify-stdin-and-builtin", "verify-empty-builtin"],
 )
 def test_out_of_range_input_exits_2(capsys, argv, message):
     code, out, err = run(argv, capsys)
@@ -206,9 +210,7 @@ def test_verify_builtin_and_mutated(tmp_path, capsys):
     code, out, _ = run(["verify", "--builtin", "has only (2,2,2)"], capsys)
     assert code == 0 and "valid" in out
 
-    from jesma.certificate import theorem_20_99_101
-
-    obj = theorem_20_99_101().to_json()
+    obj = _shipped("theorem_20_99_101")
     obj["tree"]["children"][4]["children"][3]["children"][0]["children"][0]["step"]["modulus"] = "19"
     f = tmp_path / "mutated.json"
     f.write_text(json.dumps(obj))
