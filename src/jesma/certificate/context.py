@@ -150,7 +150,6 @@ class Context:
     pattern: tuple[int, ...] | None = None  # primes of k dividing the isolated base
     divisibilities: tuple[DivisibilityFact, ...] = ()
     proven: tuple[ProvenInequality, ...] = ()
-    split_info: tuple[Power, Power] | None = None  # (P, Q) of enclosing factor split
     fixed: dict = field(default_factory=dict)  # name -> pinned integer value
     conflict: str | None = None
 
@@ -346,10 +345,4 @@ class Context:
             residues=res,
             divisibilities=tuple(f.substituted(var, repl) for f in self.divisibilities),
             proven=tuple(p.substituted(var, repl) for p in self.proven),
-            split_info=None
-            if self.split_info is None
-            else (
-                Power(self.split_info[0].base, self.split_info[0].exp.substitute(var, repl)),
-                Power(self.split_info[1].base, self.split_info[1].exp.substitute(var, repl)),
-            ),
         )._parity_closure()

@@ -15,13 +15,7 @@ from dataclasses import dataclass, replace
 
 from ..arith import factorize
 from ..reduction import OrderingClass, factor_k_symbolic
-from ..sieve import (
-    ConstraintSet,
-    SieveError,
-    TorusTooLargeError,
-    UnsupportedModulusError,
-    congruence_solutions,
-)
+from ..sieve import ConstraintSet, SieveError, congruence_solutions
 from ..symbolic import ExpExpr, Lin, Power, Term, term_product
 from ..triples import Triple
 from .context import Context, DivisibilityFact, ProvenInequality, normalize_terms, terms_equal
@@ -30,6 +24,7 @@ from .model import (
     Certificate,
     MalformedCertificateError,
     Node,
+    exp_from_json,
     lin_to_json,
     term_from_json,
     terms_from_json,
@@ -45,6 +40,12 @@ _ORDERING_FACTS = {
 }
 
 _ALL_CLASSES = [c.value for c in OrderingClass]
+
+# What reading a payload of the wrong shape raises: a missing key, a list
+# where a dict belongs, "abc" where an integer belongs, a zero modulus.
+# The verifier turns these into a rejection at the node that holds the
+# payload, in one place, so no step handler guards its own reads.
+_PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, AttributeError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,12 @@ class _Invalid(Exception):
 def verify_certificate(cert: Certificate) -> Verdict:
     """Re-check every node of the certificate; failures carry the step path."""
     try:
-        ctx = _initial_context(cert)
+        try:
+            ctx = _initial_context(cert)
+        except MalformedCertificateError:
+            raise
+        except _PAYLOAD_ERRORS as e:
+            raise _Invalid("$.equation", f"malformed equation: {type(e).__name__}: {e}")
         form = cert.equation.get("form")
         root_kind = cert.tree.step.get("kind")
         if form == "pythag-exp" and "ordering" not in cert.equation and root_kind != "ordering-split":
@@ -87,10 +93,7 @@ def _initial_context(cert: Certificate) -> Context:
     eq = cert.equation
     form = eq.get("form")
     if form == "pythag-exp":
-        try:
-            t = Triple(int(eq["u"]), int(eq["v"]), int(eq["w"]))
-        except (KeyError, ValueError) as e:
-            raise MalformedCertificateError("$.equation", f"bad triple: {e}")
+        t = Triple(int(eq["u"]), int(eq["v"]), int(eq["w"]))
         if eq.get("k") != "symbolic":
             raise MalformedCertificateError("$.equation", "pythag-exp certificates take k symbolic")
         k_min = int(eq.get("k_min", "1"))
@@ -135,10 +138,15 @@ def _equation_variables(terms) -> set[str]:
 
 def _verify_node(node: Node, ctx: Context, path: str) -> None:
     kind = node.step.get("kind")
-    handler = _HANDLERS.get(kind)
+    handler = _HANDLERS.get(kind) if isinstance(kind, str) else None
     if handler is None:
         raise _Invalid(path, f"unknown step kind {kind!r}")
-    children_ctx = handler(node.step, ctx, path, len(node.children))
+    try:
+        children_ctx = handler(node.step, ctx, path, len(node.children))
+    except MalformedCertificateError:
+        raise
+    except _PAYLOAD_ERRORS as e:
+        raise _Invalid(path, f"malformed {kind} step: {type(e).__name__}: {e}")
     if children_ctx is None:  # contradiction leaf
         if node.children:
             raise _Invalid(path, "contradiction steps take no children")
@@ -164,14 +172,7 @@ def _apply_ordering_split(step: dict, ctx: Context, path: str, n_children: int):
     out = []
     for case in cases:
         cls = OrderingClass(case)
-        child = Context(
-            triple=ctx.triple,
-            k_min=ctx.k_min,
-            excluded=ctx.excluded,
-            equation_form=ctx.equation_form,
-            ordering=cls,
-            facts=ctx.facts,
-        )
+        child = replace(ctx, ordering=cls)  # only the root splits orderings: ctx is the initial context
         for a, b in _ORDERING_FACTS.get(cls, ()):
             child = child.with_fact(Lin.var(a) - Lin.var(b) - 1)
         out.append(child)
@@ -192,21 +193,10 @@ def _apply_valuation_split(step: dict, ctx: Context, path: str, n_children: int)
         expected.append(sorted(primes[i] for i in range(len(primes)) if mask >> i & 1))
     if sorted(map(tuple, declared)) != sorted(map(tuple, expected)):
         raise _Invalid(path, f"valuation split must cover all subsets of {primes}")
-    out = []
-    for case in step.get("cases", []):
-        pat = tuple(sorted(int(p) for p in case))
-        out.append(
-            Context(
-                triple=ctx.triple,
-                k_min=ctx.k_min,
-                excluded=ctx.excluded,
-                equation_form=ctx.equation_form,
-                ordering=ctx.ordering,
-                facts=ctx.facts,
-                pattern=pat,
-            )
-        )
-    return out
+    return [
+        replace(ctx, pattern=tuple(sorted(int(p) for p in case)), residues={}, proven=(), conflict=None)
+        for case in step.get("cases", [])
+    ]
 
 
 def _apply_k_factor(step: dict, ctx: Context, path: str, n_children: int):
@@ -236,22 +226,16 @@ def _apply_k_factor(step: dict, ctx: Context, path: str, n_children: int):
     rhs = terms_from_json(step.get("reduced_rhs", []), f"{path}.reduced_rhs")
     if not terms_equal(lhs, form.reduced_lhs) or not terms_equal(rhs, form.reduced_rhs):
         raise _Invalid(path, "reduced equation does not match the re-derived k-factoring")
-    if form.contradiction:
-        # branch carries an impossible k-shape; the child must close it out
-        child = ctx.with_syms(r.val for r in form.relations if isinstance(r.val, str))
-        return [child]
     child = ctx.with_syms(r.val for r in form.relations if isinstance(r.val, str))
-    child = child.with_equation("main", lhs, rhs)
+    if not form.contradiction:  # an impossible k-shape leaves the child to close it out
+        child = child.with_equation("main", lhs, rhs)
     return [child]
 
 
 def _apply_substitute(step: dict, ctx: Context, path: str, n_children: int):
     var = step.get("var")
     new = step.get("new")
-    try:
-        stride = int(step.get("stride", "0"))
-    except (TypeError, ValueError):
-        raise _Invalid(path, "bad stride")
+    stride = int(step.get("stride", "0"))
     if stride < 2:
         raise _Invalid(path, f"stride must be >= 2, got {stride}")
     if not var or not new:
@@ -276,11 +260,8 @@ def _apply_congruence(step: dict, ctx: Context, path: str, n_children: int):
         raise _Invalid(path, "congruence step derives nothing")
     for i, ent in enumerate(derived):
         name = ent.get("name")
-        try:
-            dm = int(ent["modulus"])
-            ds = frozenset(int(r) % dm for r in ent["residues"])
-        except (KeyError, TypeError, ValueError):
-            raise _Invalid(path, f"derive[{i}] is malformed")
+        dm = int(ent["modulus"])
+        ds = frozenset(int(r) % dm for r in ent["residues"])
         if name not in rcs.variables:
             raise _Invalid(path, f"derive[{i}]: {name} is not enumerated by this congruence")
         period = rcs.period_of(name)
@@ -302,10 +283,7 @@ def _enumerate_congruence(step: dict, ctx: Context, path: str):
     eq_id = step.get("eq", "main")
     if eq_id not in ctx.equations:
         raise _Invalid(path, f"unknown equation {eq_id!r}")
-    try:
-        m = int(step["modulus"])
-    except (KeyError, TypeError, ValueError):
-        raise _Invalid(path, "bad modulus")
+    m = int(step["modulus"])
     lhs, rhs = ctx.equations[eq_id]
     terms = list(lhs) + [t.scaled(-1) for t in rhs]
     cons = ConstraintSet.none()
@@ -325,17 +303,14 @@ def _enumerate_congruence(step: dict, ctx: Context, path: str):
                 cons = cons.with_lower_bound(name, lb)
     try:
         return congruence_solutions(terms, m, cons, order_cap=2000)
-    except (UnsupportedModulusError, TorusTooLargeError, SieveError) as e:
+    except SieveError as e:  # a modulus the sieve cannot check is no proof, not a malformed payload
         raise _Invalid(path, f"congruence not checkable: {e}")
 
 
 def _apply_residue_split(step: dict, ctx: Context, path: str, n_children: int):
     name = step.get("name")
-    try:
-        m = int(step["modulus"])
-        cases = [frozenset(int(r) % m for r in case) for case in step["cases"]]
-    except (KeyError, TypeError, ValueError):
-        raise _Invalid(path, "bad residue split payload")
+    m = int(step["modulus"])
+    cases = [frozenset(int(r) % m for r in case) for case in step["cases"]]
     if m < 2 or not cases:
         raise _Invalid(path, "bad residue split payload")
     if name in ctx.residues:
@@ -360,11 +335,8 @@ def _apply_factor_split(step: dict, ctx: Context, path: str, n_children: int):
     eq_id = step.get("eq", "main")
     if eq_id not in ctx.equations:
         raise _Invalid(path, f"unknown equation {eq_id!r}")
-    try:
-        p_pow = _power_from_json(step["p"], f"{path}.p")
-        q_pow = _power_from_json(step["q"], f"{path}.q")
-    except KeyError:
-        raise _Invalid(path, "factor split needs 'p' and 'q'")
+    p_pow = Power(int(step["p"]["base"]), exp_from_json(step["p"]["exp"], f"{path}.p"))
+    q_pow = Power(int(step["q"]["base"]), exp_from_json(step["q"]["exp"], f"{path}.q"))
     lhs, rhs = ctx.equations[eq_id]
     signed = list(lhs) + [t.scaled(-1) for t in rhs]
     if len(signed) != 3:
@@ -429,7 +401,7 @@ def _apply_factor_split(step: dict, ctx: Context, path: str, n_children: int):
     odd_parts: dict[str, tuple[int, ExpExpr]] = {}
     two_exp: ExpExpr | None = None
     for i, pj in enumerate(declared_parts):
-        exp = _exp_from_json_field(pj, f"{path}.parts[{i}]")
+        exp = exp_from_json(pj["exp"], f"{path}.parts[{i}]")
         if pj.get("two"):
             if g != 2:
                 raise _Invalid(path, "a 'two' part needs gcd(F-, F+) = 2")
@@ -470,21 +442,7 @@ def _apply_factor_split(step: dict, ctx: Context, path: str, n_children: int):
     out = []
     for i, case in enumerate(cases):
         placement = case.get("placement", {})
-        child = Context(
-            triple=ctx.triple,
-            k_min=ctx.k_min,
-            excluded=ctx.excluded,
-            equation_form=ctx.equation_form,
-            ordering=ctx.ordering,
-            equations=dict(ctx.equations),
-            facts=ctx.facts,
-            residues=dict(ctx.residues),
-            syms=ctx.syms,
-            pattern=ctx.pattern,
-            divisibilities=ctx.divisibilities,
-            proven=ctx.proven,
-            split_info=(p_pow, q_pow),
-        )
+        child = replace(ctx, fixed={}, conflict=None)
         if complete:
             fm, fp = _build_factors(combined, odd_parts, two_exp, g, placement, path, i)
             fm_json = term_from_json(case.get("fminus", {}), f"{path}.cases[{i}].fminus")
@@ -531,24 +489,6 @@ def _build_factors(combined, odd_parts, two_exp, g, placement, path, i):
             prime, exp = odd_parts[name]
             (minus_pows if side == "-" else plus_pows).append(Power(prime, exp))
     return Term(1, tuple(minus_pows)), Term(1, tuple(plus_pows))
-
-
-def _power_from_json(obj: dict, path: str) -> Power:
-    try:
-        from .model import exp_from_json
-
-        return Power(int(obj["base"]), exp_from_json(obj["exp"], path))
-    except (KeyError, TypeError, ValueError) as e:
-        raise _Invalid(path, f"bad power: {e}")
-
-
-def _exp_from_json_field(obj: dict, path: str) -> ExpExpr:
-    from .model import exp_from_json
-
-    try:
-        return exp_from_json(obj["exp"], path)
-    except (KeyError, TypeError, ValueError) as e:
-        raise _Invalid(path, f"bad exponent: {e}")
 
 
 def _apply_inequality(step: dict, ctx: Context, path: str, n_children: int):
@@ -669,11 +609,10 @@ def _contr_equation_impossible(step: dict, ctx: Context, path: str) -> None:
 
 
 def _contr_divisor_too_large(step: dict, ctx: Context, path: str) -> None:
-    try:
-        idx = int(step.get("fact", "-1"))
-        fact = ctx.divisibilities[idx]
-    except (ValueError, IndexError):
+    idx = int(step["fact"])
+    if not 0 <= idx < len(ctx.divisibilities):
         raise _Invalid(path, "no such divisibility fact")
+    fact = ctx.divisibilities[idx]
     ineq = _verify_chain(step.get("claims", []), ctx, path)
     # chain must show divisor > P + Q >= |dividend|, with dividend > 0
     p_term = Term(1, (fact.p,))

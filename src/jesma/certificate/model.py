@@ -117,11 +117,13 @@ class Node:
         step = obj["step"]
         if not isinstance(step, dict) or "kind" not in step:
             raise MalformedCertificateError(path, "step needs a 'kind'")
-        children = tuple(
-            Node.from_json(c, f"{path}.children[{i}]", depth + 1)
-            for i, c in enumerate(obj.get("children", []))
+        children = obj.get("children", [])
+        if not isinstance(children, list):
+            raise MalformedCertificateError(path, "'children' must be a list")
+        return Node(
+            step,
+            tuple(Node.from_json(c, f"{path}.children[{i}]", depth + 1) for i, c in enumerate(children)),
         )
-        return Node(step, children)
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,8 @@ class Certificate:
                 raise MalformedCertificateError("$", f"missing field {key!r}")
         if obj["version"] != SCHEMA_VERSION:
             raise MalformedCertificateError("$.version", f"unsupported version {obj['version']!r}")
+        if not isinstance(obj["equation"], dict):
+            raise MalformedCertificateError("$.equation", "equation must be a JSON object")
         try:
             excluded = tuple(tuple(int(a) for a in sol) for sol in obj.get("excluded", []))
         except (TypeError, ValueError) as e:

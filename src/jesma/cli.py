@@ -103,7 +103,7 @@ def cmd_corpus(args) -> int:
                 entries, problems = load_corpus(f.read())
         else:
             entries, problems = load_default_corpus()
-    except (OSError, CorpusError) as e:
+    except (OSError, UnicodeDecodeError, CorpusError) as e:
         print(f"cannot load corpus: {e}", file=sys.stderr)
         return EXIT_INPUT
     for p in problems:
@@ -260,7 +260,7 @@ def cmd_verify(args) -> int:
         else:
             with open(args.file) as f:
                 cert = loads_certificate(f.read())
-    except (OSError, MalformedCertificateError) as e:
+    except (OSError, UnicodeDecodeError, MalformedCertificateError) as e:
         print(f"cannot load certificate: {e}", file=sys.stderr)
         return EXIT_INPUT
     start = time.perf_counter()

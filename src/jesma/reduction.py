@@ -9,7 +9,7 @@ coprime reduced equation plus linear exponent relations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .arith import factorize, radical, valuation
@@ -300,19 +300,8 @@ def factor_k_symbolic(
             s = f"v{p}"
         used[p] = s
     vals: dict[int, int | str] = dict(used)
-    cofactor = "n1" if pattern else "n1=k"
     form = _factor_k_core(t, ordering, vals, "n1" if pattern else 1, dict(vals))
     if not pattern:
         # gcd(k, B1) = 1: k^(e2-e1) divides B1^e1 forces k = 1
-        form = KFactoredForm(
-            triple=form.triple,
-            ordering=form.ordering,
-            valuations=form.valuations,
-            cofactor="k",
-            relations=form.relations,
-            cross_relations=form.cross_relations,
-            reduced_lhs=form.reduced_lhs,
-            reduced_rhs=form.reduced_rhs,
-            contradiction="k-coprime-to-isolated-base",
-        )
+        form = replace(form, cofactor="k", contradiction="k-coprime-to-isolated-base")
     return form

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 from itertools import product as iproduct
 
-from .arith import mult_order
+from .arith import _TRIAL_LIMIT, mult_order
 from .symbolic import ExpExpr, Lin, Term
 
 __all__ = [
@@ -35,6 +35,10 @@ __all__ = [
 
 TORUS_CELL_LIMIT = 4_000_000
 MODULUS_SCAN_MAX = 1_000  # largest m_max of find_killing_modulus: each modulus may cost a torus
+# Largest modulus congruence_solutions takes.  Below it, mult_order factors m
+# and its totient by trial division alone, so a modulus read from a
+# certificate cannot send the factoring into Pollard rho without bound.
+MODULUS_MAX = _TRIAL_LIMIT**2
 
 
 class SieveError(ValueError):
@@ -272,6 +276,8 @@ def congruence_solutions(
     """
     if m < 2:
         raise SieveError(f"modulus must be >= 2, got {m}")
+    if m > MODULUS_MAX:
+        raise SieveError(f"a {m.bit_length()}-bit modulus is above the limit {MODULUS_MAX}")
     if not terms:
         raise SieveError("empty congruence")
     constraints = constraints or ConstraintSet.none()

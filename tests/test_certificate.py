@@ -4,10 +4,12 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jesma.certificate import (
     Certificate,
     MalformedCertificateError,
+    Verdict,
     builtin_certificates,
     canonical_json,
     claim_to_json,
@@ -279,6 +281,14 @@ def test_inequality_step_chain_example():
     assert ok, reason
 
 
+@pytest.mark.parametrize("field", ["map", "inv"])
+def test_inequality_step_malformed_claim(field):
+    claim = _slack_claim()
+    claim[field] = []
+    ok, reason = verify_inequality_step(claim)
+    assert not ok and reason.startswith("bad inequality claim")
+
+
 def test_inequality_step_false_base():
     # 2^x > 3^x fails at x = 1 already
     claim = claim_to_json(
@@ -431,3 +441,116 @@ def test_deep_certificate_is_input_error(tmp_path, capsys, levels):
 
 def _depth(node) -> int:
     return 1 + max((_depth(c) for c in node.children), default=0)
+
+
+# -- hostile payloads ---------------------------------------------------------
+
+_CONGRUENCE = (4, 1, 0)  # theorem: a congruence step that derives x and z even
+_SUBSTITUTE = _CONGRUENCE + (0,)
+_FACTOR_SPLIT = _SUBSTITUTE + (0, 0)
+HUGE_MODULUS = (2**127 - 1) * (2**107 - 1)
+
+
+def _node_path(node) -> str:
+    return "$.tree" + "".join(f".children[{i}]" for i in node)
+
+
+def _edit_step(node, **fields):
+    """Mutator setting fields of the step at node, a tuple of child indices."""
+
+    def apply(obj):
+        _walk(obj, ["tree", *(k for i in node for k in ("children", i)), "step"]).update(fields)
+
+    return apply
+
+
+# (id, shipped certificate, mutator, path of the rejection or load error, exit code)
+HOSTILE_EDITS = [
+    ("residue-modulus-zero", "mod17_kill",
+     lambda o: o["equation"]["constraints"]["residues"]["z"].update(modulus="0"), "$.equation", 1),
+    ("residue-modulus-missing", "mod17_kill",
+     lambda o: o["equation"]["constraints"]["residues"]["z"].pop("modulus"), "$.equation", 1),
+    ("residues-list", "mod17_kill", lambda o: o["equation"]["constraints"].update(residues=[]), "$.equation", 1),
+    ("constraints-list", "mod17_kill", lambda o: o["equation"].update(constraints=[]), "$.equation", 1),
+    ("equation-list", "mod17_kill", lambda o: o.update(equation=[]), "$.equation", 2),
+    ("fixed-abc", "mod17_kill", lambda o: o["equation"]["constraints"].update(fixed={"y": "abc"}),
+     "$.equation", 1),
+    ("k-min-abc", "theorem_20_99_101", lambda o: o["equation"].update(k_min="abc"), "$.equation", 1),
+    ("u-list", "theorem_20_99_101", lambda o: o["equation"].update(u=["20"]), "$.equation", 1),
+    ("ordering-bogus", "subcase_z_lt_x_lt_y", lambda o: o["equation"].update(ordering="bogus"), "$.equation", 1),
+    ("kind-list", "mod17_kill", _edit_step((), kind=["contradiction"]), "$.tree", 1),
+    ("terms-int", "mod17_kill", lambda o: o["equation"].update(terms=5), "$.equation", 1),
+    ("children-int", "mod17_kill", lambda o: o["tree"].update(children=5), "$.tree", 2),
+    ("derive-modulus-zero", "theorem_20_99_101",
+     lambda o: _walk(o, ["tree", "children", 4, "children", 1, "children", 0, "step", "derive", 0]).update(
+         modulus="0"), _node_path(_CONGRUENCE), 1),
+    ("substitute-var-list", "theorem_20_99_101", _edit_step(_SUBSTITUTE, var=["x"]), _node_path(_SUBSTITUTE), 1),
+    ("factor-split-cases-int", "theorem_20_99_101", _edit_step(_FACTOR_SPLIT, cases=5),
+     _node_path(_FACTOR_SPLIT), 1),
+    ("factor-split-placement-list", "theorem_20_99_101",
+     _edit_step(_FACTOR_SPLIT, cases=[{"placement": [["11", "-"]]}, {"placement": [["11", "+"]]}]),
+     _node_path(_FACTOR_SPLIT), 1),
+    ("claim-coef-zero", "subcase_z_lt_x_lt_y",
+     lambda o: _walk(o, ["tree", "children", 1, "children", 0, "step", "claims", 0, "ctx_lhs", 0]).update(
+         coef="0"), "$.tree.children[1].children[0]", 1),
+    ("claim-int", "subcase_z_lt_x_lt_y", _edit_step((1, 0), claims=[5]), "$.tree.children[1].children[0]", 1),
+    ("ordering-split-int", "theorem_20_99_101", _edit_step((), cases=5), "$.tree", 1),
+    ("valuation-split-int", "subcase_z_lt_x_lt_y", _edit_step((), cases=5), "$.tree", 1),
+    ("k-factor-int", "subcase_z_lt_x_lt_y", _edit_step((0,), pattern=5), "$.tree.children[0]", 1),
+    ("huge-leaf-modulus", "mod17_kill", _edit_step((), modulus=str(HUGE_MODULUS)), "$.tree", 1),
+]
+
+
+def _hostile(name, mutate) -> dict:
+    obj = _shipped(name)
+    mutate(obj)
+    return obj
+
+
+@pytest.mark.parametrize("name, mutate, path, code", [e[1:] for e in HOSTILE_EDITS], ids=[e[0] for e in HOSTILE_EDITS])
+def test_hostile_edit_is_rejected_at_its_node(name, mutate, path, code):
+    obj = _hostile(name, mutate)
+    if code == 2:
+        with pytest.raises(MalformedCertificateError) as e:
+            Certificate.from_json(obj)
+        assert e.value.path == path
+        return
+    verdict = verify_certificate(Certificate.from_json(obj))
+    assert not verdict.valid
+    assert verdict.path == path, verdict.describe()
+
+
+_HOSTILE_VALUES = (None, [], {}, "abc", "0", "-1", 5)
+
+
+def _slots(obj, out: list) -> list:
+    """Every (container, key) pair under obj, depth first."""
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        out.append((obj, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+def _payload_slots(obj: dict) -> list:
+    """The slots of the equation and of every step payload in the tree."""
+    out = _slots(obj["equation"], [])
+    stack = [obj["tree"]]
+    while stack:
+        node = stack.pop()
+        _slots(node["step"], out)
+        stack.extend(node["children"])
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_hostile_payload_value_ends_in_a_verdict(data):
+    obj = _shipped(data.draw(st.sampled_from(sorted(n.removesuffix(".cert.json") for n in SHIPPED_SHA256))))
+    container, key = data.draw(st.sampled_from(_payload_slots(obj)))
+    container[key] = copy.deepcopy(data.draw(st.sampled_from(_HOSTILE_VALUES)))
+    try:
+        cert = Certificate.from_json(obj)
+    except MalformedCertificateError:
+        return
+    assert isinstance(verify_certificate(cert), Verdict)

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from test_certificate import _shipped
+from test_certificate import HOSTILE_EDITS, _hostile, _shipped
 
 from jesma.cli import main, parse_constraint, parse_terms
 from jesma.sieve import ConstraintSet
@@ -217,6 +217,27 @@ def test_verify_builtin_and_mutated(tmp_path, capsys):
     code, out, _ = run(["verify", str(f)], capsys)
     assert code == 1
     assert "$.tree.children[4]" in out
+
+
+@pytest.mark.parametrize("name, mutate, path, code", [e[1:] for e in HOSTILE_EDITS], ids=[e[0] for e in HOSTILE_EDITS])
+def test_verify_hostile_edit_exits_without_traceback(tmp_path, capsys, name, mutate, path, code):
+    f = tmp_path / "hostile.cert.json"
+    f.write_text(json.dumps(_hostile(name, mutate)))
+    exit_code, out, err = run(["verify", str(f)], capsys)
+    assert exit_code == code
+    if code == 1:
+        assert err == "" and f"invalid at {path}: " in out
+    else:
+        assert out == "" and err.startswith(f"cannot load certificate: {path}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["corpus", "--file"]], ids=["verify", "corpus"])
+def test_file_not_utf8_exits_2(tmp_path, capsys, argv):
+    f = tmp_path / "not-utf8.json"
+    f.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run([*argv, str(f)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("cannot load ")
 
 
 def test_verify_truncated_file_exits_2(tmp_path, capsys):

@@ -72,6 +72,15 @@ def test_empty_terms_rejected():
         congruence_solutions([], 7)
 
 
+def test_modulus_above_trial_division_rejected():
+    # x -> (m - 1)^x == 1 (mod m) holds for even x; m and its totient factor by trial division
+    terms = [Term.of(1, (sieve.MODULUS_MAX - 1, v("x"))), Term.of(-1)]
+    assert congruence_solutions(terms, sieve.MODULUS_MAX).tuples == {(0,)}
+    for m in (sieve.MODULUS_MAX + 1, (2**127 - 1) * (2**107 - 1)):
+        with pytest.raises(SieveError, match="above the limit"):
+            congruence_solutions(terms, m)
+
+
 KILL_TERMS = [
     Term.of(1, (101, v("z"))),
     Term.of(-1),
