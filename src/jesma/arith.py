@@ -36,14 +36,25 @@ def _sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-_small_primes: list[int] | None = None
+# The primes up to _table_limit, ascending.  The table grows on demand, at
+# least doubling each time, so the callers that factor only small integers
+# never pay for the primes below _TRIAL_LIMIT.
+_prime_table: list[int] = []
+_table_limit = 1
+
+# The 40th prime: is_prime's witnesses above the deterministic range are the
+# primes up to here.
+_WITNESS_LIMIT = 173
 
 
-def _primes() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = _sieve(_TRIAL_LIMIT)
-    return _small_primes
+def _primes(limit: int) -> list[int]:
+    """Every prime up to min(limit, _TRIAL_LIMIT), ascending, and possibly
+    some larger ones after them.  Callers must not modify the list."""
+    global _prime_table, _table_limit
+    if limit > _table_limit and _table_limit < _TRIAL_LIMIT:
+        _table_limit = min(max(limit, 2 * _table_limit), _TRIAL_LIMIT)
+        _prime_table = _sieve(_table_limit)
+    return _prime_table
 
 
 def is_prime(n: int) -> bool:
@@ -66,7 +77,7 @@ def is_prime(n: int) -> bool:
     if n < 3_317_044_064_679_887_385_961_981:
         witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     else:
-        witnesses = tuple(_primes()[:40])
+        witnesses = tuple(_primes(_WITNESS_LIMIT)[:40])
     for a in witnesses:
         a %= n
         if a == 0:
@@ -148,8 +159,8 @@ class Factorization:
 def factorize(n: int) -> Factorization:
     """Full prime factorization of n >= 1.
 
-    Trial division over the primes below 10**6, then Pollard rho on
-    whatever survives. Deterministic for fixed n.
+    Trial division over the primes up to min(isqrt(n), 10**6), then
+    Pollard rho on whatever survives. Deterministic for fixed n.
 
     >>> factorize(99).pairs
     ((3, 2), (11, 1))
@@ -159,17 +170,22 @@ def factorize(n: int) -> Factorization:
     if n < 1:
         raise ArithError(f"cannot factor {n}")
     found: dict[int, int] = {}
-    for p in _primes():
-        if p * p > n:
-            # every prime below p is divided out and p*p > n, so n is 1
-            # or a prime: no primality test is needed
-            if n > 1:
-                found[n] = 1
-            return Factorization(tuple(sorted(found.items())))
+    trial = min(math.isqrt(n), _TRIAL_LIMIT)
+    for p in _primes(trial):
+        if p > trial or p * p > n:
+            break
         while n % p == 0:
             found[p] = found.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    # The loop divides out every prime up to trial, unless it stops early at
+    # a p <= trial with p*p > n, every prime below p divided out.  Either way
+    # no prime up to isqrt(n) is left once isqrt(n) <= trial, so n is 1 or a
+    # prime: no primality test is needed.
+    if math.isqrt(n) <= trial:
+        if n > 1:
+            found[n] = 1
+        return Factorization(tuple(sorted(found.items())))
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:

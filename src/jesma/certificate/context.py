@@ -11,16 +11,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from ..reduction import OrderingClass
 from ..symbolic import ExpExpr, Lin, Power, Term
 from ..triples import Triple
 
-__all__ = ["Context", "DivisibilityFact", "ProvenInequality", "normalize_terms", "terms_equal"]
+__all__ = [
+    "RESIDUE_MODULUS_MAX",
+    "Context",
+    "DivisibilityFact",
+    "ProvenInequality",
+    "normalize_terms",
+    "refine_residues",
+    "terms_equal",
+]
 
 Fact = tuple[tuple[tuple[str, int], ...], int]  # (coeffs, const): sum + const >= 0
 
 _FM_FACT_CAP = 4000
+
+# Largest modulus whose residues the verifier enumerates.  Combining two
+# residue constraints on one name lists every residue below the lcm of their
+# moduli, and a certificate chooses its moduli, so without a limit it would
+# choose the verifier's time and memory.
+RESIDUE_MODULUS_MAX = 100_000
 
 
 def _normalize_fact(coeffs: dict[str, int], const: int) -> Fact:
@@ -54,7 +69,7 @@ def _eliminate(facts: list[Fact], var: str) -> list[Fact]:
 
 
 def _infeasible(facts: list[Fact]) -> bool:
-    facts = [_normalize_fact(dict(cs), d) for cs, d in facts]
+    """Does Fourier-Motzkin elimination refute the normalized facts?"""
     while True:
         if any(not cs and d < 0 for cs, d in facts):
             return True
@@ -64,6 +79,16 @@ def _infeasible(facts: list[Fact]) -> bool:
         facts = _eliminate(facts, variables[0])
         if len(facts) > _FM_FACT_CAP:
             return False  # give up: treat as not provably infeasible
+
+
+def refine_residues(m0: int, s0, m: int, allowed) -> tuple[int, frozenset]:
+    """The residues mod lcm(m0, m) that lie in s0 (mod m0) and in allowed (mod m).
+
+    Raises ValueError when the lcm is above RESIDUE_MODULUS_MAX."""
+    m1 = math.lcm(m0, m)
+    if m1 > RESIDUE_MODULUS_MAX:
+        raise ValueError(f"residue modulus lcm({m0}, {m}) = {m1} is above {RESIDUE_MODULUS_MAX}")
+    return m1, frozenset(a for a in range(m1) if a % m0 in s0 and a % m in allowed)
 
 
 def normalize_terms(terms) -> tuple:
@@ -173,10 +198,7 @@ class Context:
         res = dict(self.residues)
         conflict = self.conflict
         if name in res:
-            m0, s0 = res[name]
-            m1 = math.lcm(m0, modulus)
-            s1 = frozenset(a for a in range(m1) if a % m0 in s0 and a % modulus in allowed)
-            res[name] = (m1, s1)
+            res[name] = refine_residues(*res[name], modulus, allowed)
         else:
             res[name] = (modulus, allowed)
         if not res[name][1] and conflict is None:
@@ -213,21 +235,24 @@ class Context:
                 nc[v] = nc.get(v, 0) + c
         return _normalize_fact(nc, nd)
 
-    def _system(self) -> tuple[list[Fact], dict]:
+    @cached_property
+    def _system(self) -> tuple[tuple[Fact, ...], dict]:
+        # the normalized facts every implied() call on this context starts
+        # from; the context is frozen and replace() makes a new object, so
+        # the cache cannot go stale
         subst = self._residue_substitution()
         facts = [self._transform(dict(cs), d, subst) for cs, d in self.facts]
         for s in self.syms:
             facts.append(self._transform({s: 1}, -1, subst))
-        return facts, subst
+        return tuple(facts), subst
 
     def implied(self, lin: Lin) -> bool:
         """Is lin >= 0 forced by the accumulated facts (integer reasoning)?"""
         if self.conflict:
             return True
-        system, subst = self._system()
+        facts, subst = self._system
         neg = lin * -1 - 1
-        system.append(self._transform(neg.as_dict(), neg.const, subst))
-        return _infeasible(system)
+        return _infeasible([*facts, self._transform(neg.as_dict(), neg.const, subst)])
 
     def exp_at_least(self, e: ExpExpr, bound: int) -> bool:
         """Is the exponent expression provably >= bound?"""
@@ -292,10 +317,7 @@ class Context:
             if ctx.parity_of_lin(e.lin) == 0 and ctx.parity_of_name(name) != 0:
                 res = dict(ctx.residues)
                 if name in res:
-                    m0, s0 = res[name]
-                    m1 = math.lcm(m0, 2)
-                    s1 = frozenset(a for a in range(m1) if a % m0 in s0 and a % 2 == 0)
-                    res[name] = (m1, s1)
+                    res[name] = refine_residues(*res[name], 2, {0})
                 else:
                     res[name] = (2, frozenset({0}))
                 conflict = ctx.conflict

@@ -18,7 +18,7 @@ from ..reduction import OrderingClass, factor_k_symbolic
 from ..sieve import ConstraintSet, SieveError, congruence_solutions
 from ..symbolic import ExpExpr, Lin, Power, Term, term_product
 from ..triples import Triple
-from .context import Context, DivisibilityFact, ProvenInequality, normalize_terms, terms_equal
+from .context import Context, DivisibilityFact, ProvenInequality, normalize_terms, refine_residues, terms_equal
 from .ineq import check_ratio_rule, claim_from_json, verify_claim_in_context
 from .model import (
     Certificate,
@@ -46,6 +46,8 @@ _ALL_CLASSES = [c.value for c in OrderingClass]
 # The verifier turns these into a rejection at the node that holds the
 # payload, in one place, so no step handler guards its own reads.
 _PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, AttributeError, ArithmeticError)
+
+_SHOWN_RESIDUES = 10  # missing residues a residue-split rejection lists
 
 
 @dataclass(frozen=True)
@@ -313,17 +315,12 @@ def _apply_residue_split(step: dict, ctx: Context, path: str, n_children: int):
     cases = [frozenset(int(r) % m for r in case) for case in step["cases"]]
     if m < 2 or not cases:
         raise _Invalid(path, "bad residue split payload")
-    if name in ctx.residues:
-        m0, s0 = ctx.residues[name]
-        big = math.lcm(m0, m)
-        allowed = {a % m for a in range(big) if a % m0 in s0}
-    else:
-        allowed = set(range(m))
-    union = set()
-    for case in cases:
-        union |= case
-    if not allowed <= union:
-        raise _Invalid(path, f"cases miss residues {sorted(allowed - union)} (mod {m})")
+    # refuses a modulus above RESIDUE_MODULUS_MAX before listing any residue
+    _, known = refine_residues(*ctx.residues.get(name, (1, {0})), m, range(m))
+    missing = sorted({a % m for a in known}.difference(*cases))
+    if missing:
+        more = f" and {len(missing) - _SHOWN_RESIDUES} more" if len(missing) > _SHOWN_RESIDUES else ""
+        raise _Invalid(path, f"cases miss residues {missing[:_SHOWN_RESIDUES]}{more} (mod {m})")
     return [ctx.with_residue(name, m, case) for case in cases]
 
 

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..symbolic import ExpExpr, Lin, Power, Term
-from .context import Context, normalize_terms
+from ..symbolic import CONST_BITS_MAX, ExpExpr, Lin, Power, Term
+from .context import RESIDUE_MODULUS_MAX, Context, normalize_terms
 from .model import (
     MalformedCertificateError,
     lin_from_json,
@@ -94,6 +94,14 @@ def check_ratio_rule(
                 return f"symbolic exponent {p.exp} not allowed in slack form"
             if not p.exp.lin.variables() <= set(slacks):
                 return f"exponent {p.exp} uses non-slack variables"
+        # the term at the all-zero corner, and its growth factor along any one
+        # slack, have at most this many bits: bound it before forming a power
+        bits = t.coef.bit_length() + sum(
+            p.base.bit_length() * (abs(p.exp.lin.const) + sum(abs(c) for _, c in p.exp.lin.coeffs))
+            for p in t.powers
+        )
+        if bits > CONST_BITS_MAX:
+            return f"a term's base case or growth factor is over {CONST_BITS_MAX} bits"
     base = {s: 0 for s in slacks}
     try:
         l0 = sum(t.evaluate(base) for t in lhs)
@@ -142,14 +150,15 @@ def _lin_residues_mod(ctx: Context, lin: Lin, d: int) -> set[int]:
         if c % d == 0:
             continue
         if v in ctx.residues:
+            # the integers in the classes `allowed` mod m fall, mod d, on
+            # exactly the classes of those residues mod gcd(m, d)
             m, allowed = ctx.residues[v]
-            if m % d == 0:
-                options.append({(c * a) % d for a in allowed})
-                continue
-            lifted = {a % d for a in range(math.lcm(m, d)) if a % m in allowed}
-            options.append({(c * a) % d for a in lifted})
+            g = math.gcd(m, d)
+            classes = {a % g for a in allowed}
+            values = [a for a in range(d) if a % g in classes]
         else:
-            options.append({(c * a) % d for a in range(d)})
+            values = range(d)
+        options.append({(c * a) % d for a in values})
     acc = {lin.const % d}
     for opt in options:
         acc = {(a + b) % d for a in acc for b in opt}
@@ -194,6 +203,8 @@ def verify_claim_in_context(ctx: Context, claim: IneqClaim, path: str) -> str | 
         lin, d = inv[s]
         if d < 1:
             return f"slack {s} has nonpositive divisor"
+        if d > RESIDUE_MODULUS_MAX:
+            return f"slack {s}: divisor {d} is above {RESIDUE_MODULUS_MAX}"
         if d > 1:
             residues = _lin_residues_mod(ctx, lin, d)
             if residues != {0}:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import stat
 import sys
 import time
 
@@ -25,7 +27,7 @@ from .certificate import (
 from .corpus import CorpusError, load_corpus, load_default_corpus, run_corpus
 from .search import FORMS, DegenerateBaseError, find_solutions, scaled_bases
 from .sieve import ConstraintSet, find_killing_modulus
-from .symbolic import ExpExpr, Lin, Term
+from .symbolic import CONST_BITS_MAX, ExpExpr, Lin, Term
 from .triples import FAMILIES, Triple
 
 EXIT_OK = 0
@@ -142,11 +144,6 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if not failures else EXIT_MATH
 
 
-# A certificate stores a coefficient as decimal text, and Python converts at
-# most 4,300 digits (about 14,280 bits) between int and str.  A term's constant
-# part is judged by the sum of exponent times base bit length over its factors,
-# an upper bound on its bit length that needs no power formed.
-CONST_BITS_MAX = 14_000
 _TERM_RE = re.compile(r"\s*([+-])?\s*([^+-]+)")
 _FACTOR_RE = re.compile(r"^(\d+)(?:\^([A-Za-z_]\w*|\d+))?$")
 
@@ -234,12 +231,31 @@ def cmd_prove(args) -> int:
         return EXIT_MATH
     text = dumps_certificate(cert)
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
+        try:
+            _write_in_place(args.output, text + "\n")
+        except OSError as e:
+            print(f"cannot write certificate: {e}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"killing modulus {witness.modulus}; {scan}; certificate written to {args.output}")
     else:
         print(text)
     return EXIT_OK
+
+
+def _write_in_place(path: str, text: str) -> None:
+    """Overwrite path with text, creating it if need be.
+
+    A regular file is cut to length after the write rather than truncated
+    to zero on opening: on ext4, closing a file that was truncated from a
+    non-empty size to zero and rewritten waits for its data to reach the
+    disk (the auto_da_alloc heuristic), which took most of the time of a
+    `prove` that overwrote its previous output.  The bytes left behind
+    are the same, and symlinks are followed as before.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # not a pipe or device
+            f.truncate()
 
 
 def cmd_verify(args) -> int:

@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["Lin", "ExpExpr", "Power", "Term", "term_product"]
+__all__ = ["CONST_BITS_MAX", "Lin", "ExpExpr", "Power", "Term", "term_product"]
+
+# A certificate stores a coefficient as decimal text, and Python converts at
+# most 4,300 digits (about 14,280 bits) between int and str.  A term's constant
+# part is judged by the sum of exponent times base bit length over its factors,
+# an upper bound on its bit length that needs no power formed.
+CONST_BITS_MAX = 14_000
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
+import contextlib
+import functools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from jesma import arith
 from jesma.arith import (
     ArithError,
     factorize,
@@ -113,3 +116,68 @@ def test_mult_order_is_least(a, m):
 @given(st.integers(min_value=2, max_value=300), st.integers(min_value=1, max_value=25))
 def test_perfect_power_round_trip(base, z):
     assert is_perfect_power_of(base**z, base) == z
+
+
+@functools.cache
+def _full_table() -> list[int]:
+    return arith._sieve(arith._TRIAL_LIMIT)
+
+
+def _factorize_reference(n: int) -> tuple:
+    # trial division over every prime below 10**6: complete for n < 10**12
+    found = {}
+    for p in _full_table():
+        if p * p > n:
+            break
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        found[n] = found.get(n, 0) + 1
+    return tuple(sorted(found.items()))
+
+
+@contextlib.contextmanager
+def _fresh_prime_table():
+    """The prime table as a new process has it: empty, grown on demand."""
+    saved = arith._prime_table, arith._table_limit
+    arith._prime_table, arith._table_limit = [], 1
+    try:
+        yield
+    finally:
+        arith._prime_table, arith._table_limit = saved
+
+
+def _next_prime(n: int) -> int:
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 2000), st.integers(0, 40), st.integers(1, 10**6))
+def test_factorize_matches_full_table(grown_to, gap, n):
+    with _fresh_prime_table():
+        arith._primes(grown_to)
+        # p just above the table: its square and its products need primes
+        # the table has yet to hold
+        p = _next_prime(arith._table_limit + gap)
+        q = _next_prime(p + gap)
+        for m in (n, p * p, p * q, 2 * p * q, n * p):
+            assert factorize(m).pairs == _factorize_reference(m), m
+
+
+def test_small_factorizations_leave_the_table_small():
+    with _fresh_prime_table():
+        for n in range(1, 107):
+            factorize(n)
+        assert arith._table_limit < 100
+        assert is_prime(10**30 + 57)  # past the deterministic witness set
+        assert arith._table_limit < 1000
+        assert factorize(1_000_003 * 1_000_033).pairs == ((1_000_003, 1), (1_000_033, 1))
+        assert arith._table_limit == arith._TRIAL_LIMIT
+
+
+def test_witness_limit_gives_forty_primes():
+    assert len(arith._sieve(arith._WITNESS_LIMIT)) == 40

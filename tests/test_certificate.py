@@ -449,6 +449,9 @@ _CONGRUENCE = (4, 1, 0)  # theorem: a congruence step that derives x and z even
 _SUBSTITUTE = _CONGRUENCE + (0,)
 _FACTOR_SPLIT = _SUBSTITUTE + (0, 0)
 HUGE_MODULUS = (2**127 - 1) * (2**107 - 1)
+_RESIDUE_SPLIT = (6, 2, 0, 0, 0, 0)  # theorem: splits y, known even, mod 4
+_CLAIM = ["tree", "children", 1, "children", 0, "step", "claims", 0]  # subcase: first inequality claim
+_CLAIM_PATH = "$.tree.children[1].children[0].claims[0]"
 
 
 def _node_path(node) -> str:
@@ -498,6 +501,14 @@ HOSTILE_EDITS = [
     ("valuation-split-int", "subcase_z_lt_x_lt_y", _edit_step((), cases=5), "$.tree", 1),
     ("k-factor-int", "subcase_z_lt_x_lt_y", _edit_step((0,), pattern=5), "$.tree.children[0]", 1),
     ("huge-leaf-modulus", "mod17_kill", _edit_step((), modulus=str(HUGE_MODULUS)), "$.tree", 1),
+    ("residue-split-modulus-huge", "theorem_20_99_101", _edit_step(_RESIDUE_SPLIT, modulus=str(10**12)),
+     _node_path(_RESIDUE_SPLIT), 1),
+    ("residue-split-lcm-huge", "theorem_20_99_101", _edit_step(_RESIDUE_SPLIT, modulus="99991"),
+     _node_path(_RESIDUE_SPLIT), 1),
+    ("claim-exponent-huge", "subcase_z_lt_x_lt_y",
+     lambda o: _walk(o, _CLAIM + ["lhs", 0, "powers", 0, "exp", "lin"]).update(d=str(10**7)), _CLAIM_PATH, 1),
+    ("claim-divisor-huge", "subcase_z_lt_x_lt_y",
+     lambda o: _walk(o, _CLAIM + ["inv", "u"]).update(div=str(10**9)), _CLAIM_PATH, 1),
 ]
 
 
@@ -518,6 +529,22 @@ def test_hostile_edit_is_rejected_at_its_node(name, mutate, path, code):
     verdict = verify_certificate(Certificate.from_json(obj))
     assert not verdict.valid
     assert verdict.path == path, verdict.describe()
+
+
+def test_residue_split_rejection_lists_few_residues():
+    obj = _hostile("theorem_20_99_101", _edit_step(_RESIDUE_SPLIT, modulus="1000"))
+    verdict = verify_certificate(Certificate.from_json(obj))
+    assert verdict.path == _node_path(_RESIDUE_SPLIT)
+    # y is even: the cases {0} and {2} mod 1000 miss 498 even residues
+    assert verdict.reason == "cases miss residues [4, 6, 8, 10, 12, 14, 16, 18, 20, 22] and 488 more (mod 1000)"
+
+
+@pytest.mark.parametrize("const, ok", [(3490, True), (3497, False), (10**7, False)])
+def test_inequality_step_bounds_the_base_case(const, ok):
+    # 11^(const+2t+w) > 106^(1+t): the left term has 1 + 4*(const+3) bits at most
+    claim = _slack_claim()
+    claim["lhs"][0]["powers"][0]["exp"]["lin"]["d"] = str(const)
+    assert verify_inequality_step(claim) == (ok, "" if ok else "a term's base case or growth factor is over 14000 bits")
 
 
 _HOSTILE_VALUES = (None, [], {}, "abc", "0", "-1", 5)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from test_certificate import HOSTILE_EDITS, _hostile, _shipped
@@ -146,6 +147,41 @@ def test_prove_emits_verifiable_certificate(tmp_path, capsys):
     assert code == 0 and "valid" in out
 
 
+PROVE_KILL = ["prove", "--terms", "101^z - 1 - 99^y*2^a*5^b", "--constraint", "z even"]
+
+
+def _proved_text(capsys) -> bytes:
+    """What `prove` writes to stdout: the certificate and a newline."""
+    code, out, _ = run(PROVE_KILL, capsys)
+    assert code == 0
+    return out.encode()
+
+
+def test_prove_output_overwrites_a_longer_file_in_place(tmp_path, capsys):
+    expected = _proved_text(capsys)
+    out_file = tmp_path / "kill.json"
+    out_file.write_text("x" * 10_000)
+    inode = out_file.stat().st_ino
+    for _ in range(2):  # over a longer file, then over one of the same length
+        assert run([*PROVE_KILL, "--output", str(out_file)], capsys)[0] == 0
+        assert out_file.read_bytes() == expected
+        assert out_file.stat().st_ino == inode
+
+
+def test_prove_output_follows_symlinks_and_creates_files(tmp_path, capsys):
+    expected = _proved_text(capsys)
+    target = tmp_path / "target.json"
+    target.write_text("y" * 5_000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run([*PROVE_KILL, "--output", str(link)], capsys)[0] == 0
+    assert link.is_symlink() and target.read_bytes() == expected
+    new = tmp_path / "new.json"
+    assert run([*PROVE_KILL, "--output", str(new)], capsys)[0] == 0
+    assert new.read_bytes() == expected
+    assert run([*PROVE_KILL, "--output", os.devnull], capsys)[0] == 0  # not a regular file
+
+
 def test_prove_satisfiable_congruence_exits_1(capsys):
     code, _, err = run(["prove", "--terms", "3^x - 9^y", "--mmax", "60"], capsys)
     assert code == 1
@@ -196,9 +232,11 @@ def test_prove_bad_terms_exit_2(capsys):
         (["verify", "bad.json", "--builtin", "killed"], "bad input: give a certificate file or --builtin"),
         (["verify", "-", "--builtin", "killed"], "bad input: give a certificate file or --builtin"),
         (["verify", "--builtin", ""], "no builtin certificate matches ''"),
+        ([*PROVE_KILL, "--output", "/dev/null/kill.json"], "cannot write certificate:"),
     ],
     ids=["mmax-1", "mmax-huge", "order-cap-0", "constant-digits", "constant-exponent", "search-bounds",
-         "terai-bounds", "verify-file-and-builtin", "verify-stdin-and-builtin", "verify-empty-builtin"],
+         "terai-bounds", "verify-file-and-builtin", "verify-stdin-and-builtin", "verify-empty-builtin",
+         "prove-output-unwritable"],
 )
 def test_out_of_range_input_exits_2(capsys, argv, message):
     code, out, err = run(argv, capsys)

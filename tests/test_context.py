@@ -1,0 +1,170 @@
+"""The verifier context: linear implication against its un-memoized form,
+and residue reasoning against plain enumeration."""
+
+import itertools
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jesma.certificate.context import (
+    _FM_FACT_CAP,
+    RESIDUE_MODULUS_MAX,
+    Context,
+    _eliminate,
+    _normalize_fact,
+    refine_residues,
+)
+from jesma.certificate.ineq import _lin_residues_mod
+from jesma.symbolic import ExpExpr, Lin
+
+VARS = ("x", "y", "z")
+SYMS = ("r", "s")
+
+
+def _infeasible_reference(facts) -> bool:
+    # the un-memoized path: every fact is normalized again before elimination
+    facts = [_normalize_fact(dict(cs), d) for cs, d in facts]
+    while True:
+        if any(not cs and d < 0 for cs, d in facts):
+            return True
+        variables = sorted({v for cs, _ in facts for v, _ in cs})
+        if not variables:
+            return False
+        facts = _eliminate(facts, variables[0])
+        if len(facts) > _FM_FACT_CAP:
+            return False
+
+
+def _implied_reference(ctx: Context, lin: Lin) -> bool:
+    # rebuilds the system on every call, as Context.implied did before its
+    # system was cached on the context
+    if ctx.conflict:
+        return True
+    subst = ctx._residue_substitution()
+    system = [ctx._transform(dict(cs), d, subst) for cs, d in ctx.facts]
+    system += [ctx._transform({s: 1}, -1, subst) for s in ctx.syms]
+    neg = lin * -1 - 1
+    system.append(ctx._transform(neg.as_dict(), neg.const, subst))
+    return _infeasible_reference(system)
+
+
+def _exp_lower_bound_reference(ctx: Context, e: ExpExpr, cap: int) -> int:
+    best = 0
+    for b in range(1, cap + 1):
+        if e.sym is None:
+            ok = _implied_reference(ctx, e.lin - b)
+        else:
+            ok = e.sym in ctx.syms and _implied_reference(ctx, e.lin - max(b - e.off, 1))
+        if not ok:
+            break
+        best = b
+    return best
+
+
+# sparse forms, half of them bounds on one variable: there the integer
+# rounding after a residue substitution often decides the answer
+_lins = st.one_of(
+    st.builds(
+        lambda v, sign, const: Lin.var(v) * sign + const,
+        st.sampled_from(VARS + SYMS),
+        st.sampled_from((1, -1)),
+        st.integers(-8, 8),
+    ),
+    st.builds(
+        lambda coeffs, const: Lin.of(const, **coeffs),
+        st.dictionaries(st.sampled_from(VARS + SYMS), st.integers(-3, 3), max_size=2),
+        st.integers(-6, 6),
+    ),
+)
+_residues = st.lists(
+    st.tuples(st.sampled_from(VARS), st.integers(2, 4), st.sets(st.integers(0, 3), min_size=1, max_size=2)),
+    max_size=2,
+)
+
+
+@st.composite
+def _contexts(draw) -> Context:
+    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
+    for v in VARS:
+        ctx = ctx.with_fact(Lin.var(v) - 1)
+    for lin in draw(st.lists(_lins, max_size=4)):
+        ctx = ctx.with_fact(lin)
+    ctx = ctx.with_syms(draw(st.lists(st.sampled_from(SYMS), max_size=2)))
+    for name, m, allowed in draw(_residues):  # one residue left is a substitution
+        ctx = ctx.with_residue(name, m, allowed)
+    return ctx
+
+
+@settings(max_examples=150, deadline=None)
+@given(_contexts(), st.lists(_lins, min_size=1, max_size=4), _lins)
+def test_implied_matches_unmemoized(ctx, queries, extra):
+    for lin in queries + queries:  # the second round reads the cached system
+        assert ctx.implied(lin) == _implied_reference(ctx, lin), lin
+    # a context made from a cached one starts from its own facts
+    grown = ctx.with_fact(extra)
+    for lin in queries:
+        assert grown.implied(lin) == _implied_reference(grown, lin), lin
+        assert ctx.implied(lin) == _implied_reference(ctx, lin), lin
+
+
+def test_implied_rounds_after_substitution():
+    # x in [lo, hi] with x = r (mod m): whether x >= c or x <= c follows
+    # turns on the integer rounding of the bounds on x // m
+    base = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
+    x = Lin.var("x")
+    for lo, hi, m in itertools.product(range(0, 5), range(3, 9), range(2, 5)):
+        for r in range(m):
+            ctx = base.with_fact(x - lo).with_fact(x * -1 + hi).with_residue("x", m, {r})
+            for c in range(-1, 10):
+                for q in (x - c, x * -1 + c):
+                    assert ctx.implied(q) == _implied_reference(ctx, q), (lo, hi, m, r, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _contexts(),
+    _lins,
+    st.one_of(st.none(), st.sampled_from(SYMS)),
+    st.integers(-2, 2),
+    st.integers(0, 6),
+)
+def test_exp_lower_bound_matches_unmemoized(ctx, lin, sym, off, cap):
+    e = ExpExpr(lin, sym, off)
+    assert ctx.exp_lower_bound(e, cap) == _exp_lower_bound_reference(ctx, e, cap)
+
+
+def _lin_residues_reference(ctx: Context, lin: Lin, d: int) -> set[int]:
+    # lifts each residue constraint through every class mod lcm(m, d)
+    acc = {lin.const % d}
+    for v, c in lin.coeffs:
+        if v in ctx.residues:
+            m, allowed = ctx.residues[v]
+            values = {a % d for a in range(math.lcm(m, d)) if a % m in allowed}
+        else:
+            values = set(range(d))
+        acc = {(a + c * b) % d for a in acc for b in values}
+    return acc
+
+
+@given(
+    st.integers(2, 12),
+    st.sets(st.integers(0, 11), min_size=1, max_size=4),
+    st.integers(2, 12),
+    _lins,
+)
+def test_lin_residues_mod_matches_lcm_enumeration(m, allowed, d, lin):
+    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
+    ctx = ctx.with_residue("x", m, allowed)
+    assert _lin_residues_mod(ctx, lin, d) == _lin_residues_reference(ctx, lin, d)
+
+
+def test_refine_residues_refuses_a_large_lcm():
+    m1, _ = refine_residues(4, {0}, RESIDUE_MODULUS_MAX, {0})
+    assert m1 == RESIDUE_MODULUS_MAX
+    with pytest.raises(ValueError, match="is above"):
+        refine_residues(2, {0}, RESIDUE_MODULUS_MAX + 1, {1})
+    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
+    ctx = ctx.with_residue("y", 2, {0})
+    with pytest.raises(ValueError, match="is above"):
+        ctx.with_residue("y", 99_991, {1})
