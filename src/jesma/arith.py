@@ -11,8 +11,11 @@ from dataclasses import dataclass
 
 __all__ = [
     "ArithError",
+    "FactoringLimitError",
     "Factorization",
+    "PRIME_PROOF_LIMIT",
     "factorize",
+    "factorize_bounded",
     "is_perfect_power_of",
     "is_prime",
     "mult_order",
@@ -22,9 +25,18 @@ __all__ = [
 
 _TRIAL_LIMIT = 10**6
 
+# is_prime is a proof below this bound (Sorenson and Webster 2015) and a
+# probable-prime test above it.
+PRIME_PROOF_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 class ArithError(ValueError):
     """Invalid argument to an arithmetic primitive."""
+
+
+class FactoringLimitError(ArithError):
+    """factorize_bounded cannot factor the integer without leaving trial
+    division and the range where is_prime is a proof."""
 
 
 def _sieve(limit: int) -> list[int]:
@@ -74,7 +86,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < 3_317_044_064_679_887_385_961_981:
+    if n < PRIME_PROOF_LIMIT:
         witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     else:
         witnesses = tuple(_primes(_WITNESS_LIMIT)[:40])
@@ -156,6 +168,26 @@ class Factorization:
         return iter(self.pairs)
 
 
+def _trial_division(n: int) -> tuple[dict[int, int], int, bool]:
+    """Divide out the primes up to min(isqrt(n), 10**6): the factors found,
+    the cofactor left, and whether that cofactor is 1 or a prime.
+
+    The loop divides out every prime up to trial, unless it stops early at
+    a p <= trial with p*p > n, every prime below p divided out.  Either way
+    no prime up to isqrt(n) is left once isqrt(n) <= trial, so n is 1 or a
+    prime: no primality test is needed.
+    """
+    found: dict[int, int] = {}
+    trial = min(math.isqrt(n), _TRIAL_LIMIT)
+    for p in _primes(trial):
+        if p > trial or p * p > n:
+            break
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
+    return found, n, math.isqrt(n) <= trial
+
+
 def factorize(n: int) -> Factorization:
     """Full prime factorization of n >= 1.
 
@@ -169,19 +201,8 @@ def factorize(n: int) -> Factorization:
     """
     if n < 1:
         raise ArithError(f"cannot factor {n}")
-    found: dict[int, int] = {}
-    trial = min(math.isqrt(n), _TRIAL_LIMIT)
-    for p in _primes(trial):
-        if p > trial or p * p > n:
-            break
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
-    # The loop divides out every prime up to trial, unless it stops early at
-    # a p <= trial with p*p > n, every prime below p divided out.  Either way
-    # no prime up to isqrt(n) is left once isqrt(n) <= trial, so n is 1 or a
-    # prime: no primality test is needed.
-    if math.isqrt(n) <= trial:
+    found, n, complete = _trial_division(n)
+    if complete:
         if n > 1:
             found[n] = 1
         return Factorization(tuple(sorted(found.items())))
@@ -196,6 +217,30 @@ def factorize(n: int) -> Factorization:
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
+    return Factorization(tuple(sorted(found.items())))
+
+
+def factorize_bounded(n: int) -> Factorization:
+    """Prime factorization of n >= 1 for an integer read from untrusted input.
+
+    Trial division up to 10**6 only.  The cofactor it leaves is accepted
+    when it is 1 or provably prime: below 10**12, where trial division
+    settles it, or below PRIME_PROOF_LIMIT and passing is_prime.  Anything
+    else raises FactoringLimitError, so no input reaches Pollard rho.
+
+    >>> factorize_bounded(2**61 - 1).pairs
+    ((2305843009213693951, 1),)
+    """
+    if n < 1:
+        raise ArithError(f"cannot factor {n}")
+    found, rest, complete = _trial_division(n)
+    if not complete and not (rest < PRIME_PROOF_LIMIT and is_prime(rest)):
+        raise FactoringLimitError(
+            f"cannot factor a {n.bit_length()}-bit integer: its {rest.bit_length()}-bit cofactor "
+            f"has no prime factor up to {_TRIAL_LIMIT} and is not provably prime"
+        )
+    if rest > 1:
+        found[rest] = 1
     return Factorization(tuple(sorted(found.items())))
 
 

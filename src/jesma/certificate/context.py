@@ -5,15 +5,22 @@ constraints on variables and exponent atoms, and the valuation-pattern
 bookkeeping.  Linear implications are decided by Fourier-Motzkin
 elimination with gcd rounding, so integer-only consequences such as
 "2*z1 - y - 1 >= 0 and y even imply 2*z1 - y - 2 >= 0" are available.
+
+Every context of one verification shares one VerificationMemo, so each
+Fourier-Motzkin problem is decided, and each term normalized, once per
+verification, and never carried over to the next.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+from ..arith import factorize_bounded
 from ..reduction import OrderingClass
+from ..sieve import RESIDUE_MODULUS_MAX, refine_residues
 from ..symbolic import ExpExpr, Lin, Power, Term
 from ..triples import Triple
 
@@ -22,20 +29,13 @@ __all__ = [
     "Context",
     "DivisibilityFact",
     "ProvenInequality",
-    "normalize_terms",
+    "VerificationMemo",
     "refine_residues",
-    "terms_equal",
 ]
 
 Fact = tuple[tuple[tuple[str, int], ...], int]  # (coeffs, const): sum + const >= 0
 
 _FM_FACT_CAP = 4000
-
-# Largest modulus whose residues the verifier enumerates.  Combining two
-# residue constraints on one name lists every residue below the lcm of their
-# moduli, and a certificate chooses its moduli, so without a limit it would
-# choose the verifier's time and memory.
-RESIDUE_MODULUS_MAX = 100_000
 
 
 def _normalize_fact(coeffs: dict[str, int], const: int) -> Fact:
@@ -68,7 +68,7 @@ def _eliminate(facts: list[Fact], var: str) -> list[Fact]:
     return list(dict.fromkeys(rest))
 
 
-def _infeasible(facts: list[Fact]) -> bool:
+def _infeasible(facts: Sequence[Fact]) -> bool:
     """Does Fourier-Motzkin elimination refute the normalized facts?"""
     while True:
         if any(not cs and d < 0 for cs, d in facts):
@@ -81,54 +81,49 @@ def _infeasible(facts: list[Fact]) -> bool:
             return False  # give up: treat as not provably infeasible
 
 
-def refine_residues(m0: int, s0, m: int, allowed) -> tuple[int, frozenset]:
-    """The residues mod lcm(m0, m) that lie in s0 (mod m0) and in allowed (mod m).
+def _term_form(t: Term) -> tuple:
+    """Canonical form of one term for exact comparison.
 
-    Raises ValueError when the lcm is above RESIDUE_MODULUS_MAX."""
-    m1 = math.lcm(m0, m)
-    if m1 > RESIDUE_MODULUS_MAX:
-        raise ValueError(f"residue modulus lcm({m0}, {m}) = {m1} is above {RESIDUE_MODULUS_MAX}")
-    return m1, frozenset(a for a in range(m1) if a % m0 in s0 and a % m in allowed)
-
-
-def normalize_terms(terms) -> tuple:
-    """Canonical multiset form of a term list for exact comparison.
-
-    Coefficients and integer bases are split into primes, so 2*2^(2x-1),
-    4^x*5^x and 20^x all normalize through their prime decompositions."""
-    from ..arith import factorize
-
-    out = []
-    for t in terms:
-        if t.coef == 0:
-            raise ValueError("zero coefficient term")
-        sign = 1 if t.coef > 0 else -1
-        plain: dict[int, Lin] = {}
-        symbolic: dict[tuple[int, str, tuple], tuple[Lin, int, int]] = {}
-        for prime, e in factorize(abs(t.coef)):
-            plain[prime] = plain.get(prime, Lin.const_of(0)) + e
-        for p in t.powers:
-            e = p.exp
-            if p.base == 1:
-                continue
-            for prime, mult in factorize(p.base):
-                if e.sym is None:
-                    plain[prime] = plain.get(prime, Lin.const_of(0)) + e.lin * mult
-                else:
-                    key = (prime, e.sym, e.lin.key())
-                    lin, off, count = symbolic.get(key, (e.lin, 0, 0))
-                    symbolic[key] = (lin, off + e.off * mult, count + mult)
-        pows = [(b, ExpExpr(lin).key()) for b, lin in plain.items() if lin.key() != ((), 0)]
-        pows += [
-            (prime, ExpExpr(lin * count, sym, off).key())
-            for (prime, sym, _), (lin, off, count) in symbolic.items()
-        ]
-        out.append((sign, tuple(sorted(pows))))
-    return tuple(sorted(out))
+    The coefficient and integer bases are split into primes, so 2*2^(2x-1),
+    4^x*5^x and 20^x all normalize through their prime decompositions.  The
+    integers come from a certificate, so they are factored by trial division
+    only (factorize_bounded)."""
+    if t.coef == 0:
+        raise ValueError("zero coefficient term")
+    sign = 1 if t.coef > 0 else -1
+    plain: dict[int, Lin] = {}
+    symbolic: dict[tuple[int, str, tuple], tuple[Lin, int, int]] = {}
+    for prime, e in factorize_bounded(abs(t.coef)):
+        plain[prime] = plain.get(prime, Lin.const_of(0)) + e
+    for p in t.powers:
+        e = p.exp
+        if p.base == 1:
+            continue
+        for prime, mult in factorize_bounded(p.base):
+            if e.sym is None:
+                plain[prime] = plain.get(prime, Lin.const_of(0)) + e.lin * mult
+            else:
+                key = (prime, e.sym, e.lin.key())
+                lin, off, count = symbolic.get(key, (e.lin, 0, 0))
+                symbolic[key] = (lin, off + e.off * mult, count + mult)
+    pows = [(b, ExpExpr(lin).key()) for b, lin in plain.items() if lin.key() != ((), 0)]
+    pows += [
+        (prime, ExpExpr(lin * count, sym, off).key())
+        for (prime, sym, _), (lin, off, count) in symbolic.items()
+    ]
+    return (sign, tuple(sorted(pows)))
 
 
-def terms_equal(a, b) -> bool:
-    return normalize_terms(a) == normalize_terms(b)
+@dataclass
+class VerificationMemo:
+    """Answers one verification reuses across its contexts.
+
+    Created with the root Context and handed on by replace(), so every
+    context of one verification shares it and no two verifications do.
+    """
+
+    refuted: dict = field(default_factory=dict)  # Fourier-Motzkin problem -> infeasible?
+    term_forms: dict = field(default_factory=dict)  # Term -> _term_form(Term)
 
 
 @dataclass(frozen=True)
@@ -177,6 +172,7 @@ class Context:
     proven: tuple[ProvenInequality, ...] = ()
     fixed: dict = field(default_factory=dict)  # name -> pinned integer value
     conflict: str | None = None
+    memo: VerificationMemo = field(default_factory=VerificationMemo, compare=False, repr=False)
 
     # -- construction helpers --------------------------------------------------
 
@@ -252,7 +248,11 @@ class Context:
             return True
         facts, subst = self._system
         neg = lin * -1 - 1
-        return _infeasible([*facts, self._transform(neg.as_dict(), neg.const, subst)])
+        problem = (*facts, self._transform(neg.as_dict(), neg.const, subst))
+        refuted = self.memo.refuted
+        if problem not in refuted:
+            refuted[problem] = _infeasible(problem)
+        return refuted[problem]
 
     def exp_at_least(self, e: ExpExpr, bound: int) -> bool:
         """Is the exponent expression provably >= bound?"""
@@ -272,6 +272,25 @@ class Context:
             else:
                 break
         return best
+
+    # -- term comparison ---------------------------------------------------------
+
+    def normal_form(self, terms) -> tuple:
+        """Canonical multiset form of a term list for exact comparison."""
+        forms = self.memo.term_forms
+        out = []
+        for t in terms:
+            try:
+                form = forms[t]
+            except KeyError:
+                form = forms[t] = _term_form(t)
+            except TypeError:  # a term holding an unhashable payload value
+                form = _term_form(t)
+            out.append(form)
+        return tuple(sorted(out))
+
+    def terms_equal(self, a, b) -> bool:
+        return self.normal_form(a) == self.normal_form(b)
 
     # -- atoms and parity --------------------------------------------------------
 

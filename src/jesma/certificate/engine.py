@@ -11,14 +11,15 @@ lemma's side conditions are verified to apply.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
-from ..arith import factorize
+from ..arith import FactoringLimitError, factorize_bounded
 from ..reduction import OrderingClass, factor_k_symbolic
 from ..sieve import ConstraintSet, SieveError, congruence_solutions
 from ..symbolic import ExpExpr, Lin, Power, Term, term_product
 from ..triples import Triple
-from .context import Context, DivisibilityFact, ProvenInequality, normalize_terms, refine_residues, terms_equal
+from .context import Context, DivisibilityFact, ProvenInequality, refine_residues
 from .ineq import check_ratio_rule, claim_from_json, verify_claim_in_context
 from .model import (
     Certificate,
@@ -147,6 +148,8 @@ def _verify_node(node: Node, ctx: Context, path: str) -> None:
         children_ctx = handler(node.step, ctx, path, len(node.children))
     except MalformedCertificateError:
         raise
+    except FactoringLimitError as e:  # an integer the verifier will not factor proves nothing
+        raise _Invalid(path, str(e))
     except _PAYLOAD_ERRORS as e:
         raise _Invalid(path, f"malformed {kind} step: {type(e).__name__}: {e}")
     if children_ctx is None:  # contradiction leaf
@@ -188,7 +191,7 @@ def _apply_valuation_split(step: dict, ctx: Context, path: str, n_children: int)
         raise _Invalid(path, "k already factored in this branch")
     e1 = {"case-1-1": "z", "case-1-2": "x", "case-2-1": "z", "case-2-2": "y"}[ctx.ordering.value]
     base = {"x": ctx.triple.u, "y": ctx.triple.v, "z": ctx.triple.w}[e1]
-    primes = sorted(factorize(base).primes())
+    primes = sorted(factorize_bounded(base).primes())
     declared = [sorted(int(p) for p in case) for case in step.get("cases", [])]
     expected = []
     for mask in range(1 << len(primes)):
@@ -226,7 +229,7 @@ def _apply_k_factor(step: dict, ctx: Context, path: str, n_children: int):
         raise _Invalid(path, f"cofactor must re-derive to {form.cofactor!r}")
     lhs = terms_from_json(step.get("reduced_lhs", []), f"{path}.reduced_lhs")
     rhs = terms_from_json(step.get("reduced_rhs", []), f"{path}.reduced_rhs")
-    if not terms_equal(lhs, form.reduced_lhs) or not terms_equal(rhs, form.reduced_rhs):
+    if not ctx.terms_equal(lhs, form.reduced_lhs) or not ctx.terms_equal(rhs, form.reduced_rhs):
         raise _Invalid(path, "reduced equation does not match the re-derived k-factoring")
     child = ctx.with_syms(r.val for r in form.relations if isinstance(r.val, str))
     if not form.contradiction:  # an impossible k-shape leaves the child to close it out
@@ -288,25 +291,69 @@ def _enumerate_congruence(step: dict, ctx: Context, path: str):
     m = int(step["modulus"])
     lhs, rhs = ctx.equations[eq_id]
     terms = list(lhs) + [t.scaled(-1) for t in rhs]
+    cons = _sieve_constraints(ctx, terms, m)
+    try:
+        return congruence_solutions(terms, m, cons, order_cap=2000)
+    except SieveError as e:  # a modulus the sieve cannot check is no proof, not a malformed payload
+        raise _Invalid(path, f"congruence not checkable: {e}")
+
+
+def _sieve_constraints(ctx: Context, terms, m: int) -> ConstraintSet:
+    """The branch's residues and fixed values, with lower bounds the sieve
+    proves from the branch facts as it reads them."""
     cons = ConstraintSet.none()
     for name, (mm, allowed) in ctx.residues.items():
         cons = cons.with_residue(name, mm, set(allowed))
     for name, value in ctx.fixed.items():
         cons = cons.with_fixed(name, value)
-    cap = m.bit_length() + 1
-    for t in terms:
-        for p in t.powers:
-            # hint the sieve with what the branch facts prove about each
-            # exponent, keyed by its bare atom (offsets are re-applied there)
-            bare = ExpExpr(p.exp.lin, p.exp.sym)
-            name = bare.atom_name()
-            lb = ctx.exp_lower_bound(bare, cap)
-            if lb > cons.lower_bound(name):
-                cons = cons.with_lower_bound(name, lb)
-    try:
-        return congruence_solutions(terms, m, cons, order_cap=2000)
-    except SieveError as e:  # a modulus the sieve cannot check is no proof, not a malformed payload
-        raise _Invalid(path, f"congruence not checkable: {e}")
+    return replace(cons, lower_bounds=_ProvenBounds(ctx, terms, m.bit_length() + 1))
+
+
+class _ProvenBounds(Mapping):
+    """The lower bound the branch facts prove for each exponent of the
+    terms, keyed by its bare atom (the sieve re-applies offsets), as a
+    read-only mapping that proves a name's bound the first time it is read.
+
+    The entries are those that proving every exponent's bound in term order
+    gave: a bound counts when it is above the name's fixed value, or, for a
+    name not fixed, above 1 and above the bounds counted before it.
+    """
+
+    def __init__(self, ctx: Context, terms, cap: int):
+        self._ctx = ctx
+        self._cap = cap
+        # name -> its distinct bare exponents, in order of last occurrence
+        self._bare: dict[str, list[ExpExpr]] = {}
+        for t in terms:
+            for p in t.powers:
+                bare = ExpExpr(p.exp.lin, p.exp.sym)
+                seen = self._bare.setdefault(bare.atom_name(), [])
+                if bare in seen:
+                    seen.remove(bare)
+                seen.append(bare)
+        self._proved: dict[str, int | None] = {}
+
+    def _prove(self, name: str) -> int | None:
+        bound = None
+        for bare in self._bare.get(name, ()):
+            lb = self._ctx.exp_lower_bound(bare, self._cap)
+            floor = self._ctx.fixed[name] if name in self._ctx.fixed else bound or 1
+            if lb > floor:
+                bound = lb
+        return bound
+
+    def __getitem__(self, name: str) -> int:
+        if name not in self._proved:
+            self._proved[name] = self._prove(name)
+        if self._proved[name] is None:
+            raise KeyError(name)
+        return self._proved[name]
+
+    def __iter__(self):
+        return (name for name in self._bare if name in self)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 def _apply_residue_split(step: dict, ctx: Context, path: str, n_children: int):
@@ -338,12 +385,12 @@ def _apply_factor_split(step: dict, ctx: Context, path: str, n_children: int):
     signed = list(lhs) + [t.scaled(-1) for t in rhs]
     if len(signed) != 3:
         raise _Invalid(path, "factor split needs an equation with exactly three terms")
-    p2 = normalize_terms([Term(1, (Power(p_pow.base, _exp_double(p_pow.exp)),))])
-    q2 = normalize_terms([Term(1, (Power(q_pow.base, _exp_double(q_pow.exp)),))])
+    p2 = ctx.normal_form([Term(1, (Power(p_pow.base, _exp_double(p_pow.exp)),))])
+    q2 = ctx.normal_form([Term(1, (Power(q_pow.base, _exp_double(q_pow.exp)),))])
     p_term = q_term = r_term = None
     eps = 0
     for t in signed:
-        pos = normalize_terms([Term(abs(t.coef), t.powers)])
+        pos = ctx.normal_form([Term(abs(t.coef), t.powers)])
         if abs(t.coef) == 1 and pos == p2:
             p_term, eps = t, 1 if t.coef > 0 else -1
     if p_term is None:
@@ -351,7 +398,7 @@ def _apply_factor_split(step: dict, ctx: Context, path: str, n_children: int):
     for t in signed:
         if t is p_term:
             continue
-        pos = normalize_terms([Term(abs(t.coef), t.powers)])
+        pos = ctx.normal_form([Term(abs(t.coef), t.powers)])
         if abs(t.coef) == 1 and t.coef == -eps and pos == q2:
             q_term = t
         else:
@@ -375,7 +422,7 @@ def _apply_factor_split(step: dict, ctx: Context, path: str, n_children: int):
     # prime -> exponent contribution of R, combining integer base factorizations
     contributions: dict[int, list[ExpExpr]] = {}
     for pw in r.powers:
-        for prime, e in factorize(pw.base):
+        for prime, e in factorize_bounded(pw.base):
             contributions.setdefault(prime, []).append(
                 ExpExpr(pw.exp.lin * e, pw.exp.sym, pw.exp.off * e)
             )
@@ -444,9 +491,9 @@ def _apply_factor_split(step: dict, ctx: Context, path: str, n_children: int):
             fm, fp = _build_factors(combined, odd_parts, two_exp, g, placement, path, i)
             fm_json = term_from_json(case.get("fminus", {}), f"{path}.cases[{i}].fminus")
             fp_json = term_from_json(case.get("fplus", {}), f"{path}.cases[{i}].fplus")
-            if not terms_equal([fm_json], [fm]) or not terms_equal([fp_json], [fp]):
+            if not ctx.terms_equal([fm_json], [fm]) or not ctx.terms_equal([fp_json], [fp]):
                 raise _Invalid(path, f"cases[{i}]: factor terms do not match the placement")
-            if not terms_equal([term_product([fm, fp])], [r]):
+            if not ctx.terms_equal([term_product([fm, fp])], [r]):
                 raise _Invalid(path, f"cases[{i}]: factor product does not reproduce R")
             child = child.drop_equation(eq_id)
             pt = Term(1, (p_pow,))
@@ -505,8 +552,8 @@ def _verify_chain(claim_objs, ctx: Context, path: str) -> ProvenInequality:
             rhs = terms_from_json(obj.get("ctx_rhs", []), cpath)
             if any(t.coef < 1 for t in list(lhs) + list(rhs)):
                 raise _Invalid(cpath, "subset links need positive terms")
-            left = list(normalize_terms(lhs))
-            for item in normalize_terms(rhs):
+            left = list(ctx.normal_form(lhs))
+            for item in ctx.normal_form(rhs):
                 if item not in left:
                     raise _Invalid(cpath, "right side is not a sub-sum of the left side")
                 left.remove(item)
@@ -518,7 +565,7 @@ def _verify_chain(claim_objs, ctx: Context, path: str) -> ProvenInequality:
             raise _Invalid(cpath, reason)
         links.append(ProvenInequality(claim.ctx_lhs, claim.ctx_rhs, claim.strict))
     for i in range(len(links) - 1):
-        if not terms_equal(links[i].rhs, links[i + 1].lhs):
+        if not ctx.terms_equal(links[i].rhs, links[i + 1].lhs):
             raise _Invalid(path, f"chain break between claims[{i}] and claims[{i + 1}]")
     strict = any(c.strict for c in links)
     if not strict:
@@ -601,7 +648,7 @@ def _contr_equation_impossible(step: dict, ctx: Context, path: str) -> None:
     else:
         raise _Invalid(path, "'larger' must be 'lhs' or 'rhs'")
     fact = _verify_chain(step.get("claims", []), ctx, path)
-    if not terms_equal(fact.lhs, big) or not terms_equal(fact.rhs, small):
+    if not ctx.terms_equal(fact.lhs, big) or not ctx.terms_equal(fact.rhs, small):
         raise _Invalid(path, "the proven inequality does not compare the equation's sides")
 
 
@@ -614,9 +661,9 @@ def _contr_divisor_too_large(step: dict, ctx: Context, path: str) -> None:
     # chain must show divisor > P + Q >= |dividend|, with dividend > 0
     p_term = Term(1, (fact.p,))
     q_term = Term(1, (fact.q,))
-    if not terms_equal(ineq.lhs, [fact.divisor]):
+    if not ctx.terms_equal(ineq.lhs, [fact.divisor]):
         raise _Invalid(path, "the chain does not start from the divisor")
-    if not terms_equal(ineq.rhs, [p_term, q_term]):
+    if not ctx.terms_equal(ineq.rhs, [p_term, q_term]):
         raise _Invalid(path, "the chain does not end at P + Q")
 
 

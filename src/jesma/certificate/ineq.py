@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..symbolic import CONST_BITS_MAX, ExpExpr, Lin, Power, Term
-from .context import RESIDUE_MODULUS_MAX, Context, normalize_terms
+from .context import RESIDUE_MODULUS_MAX, Context
 from .model import (
     MalformedCertificateError,
     lin_from_json,
@@ -189,9 +189,9 @@ def verify_claim_in_context(ctx: Context, claim: IneqClaim, path: str) -> str | 
             return f"map for {name} uses non-slack variables"
     # the context-side terms must transport exactly onto the slack-side terms
     try:
-        if normalize_terms(_forward_terms(claim.ctx_lhs, fwd, path)) != normalize_terms(claim.lhs):
+        if ctx.normal_form(_forward_terms(claim.ctx_lhs, fwd, path)) != ctx.normal_form(claim.lhs):
             return "context lhs does not match slack lhs under the map"
-        if normalize_terms(_forward_terms(claim.ctx_rhs, fwd, path)) != normalize_terms(claim.rhs):
+        if ctx.normal_form(_forward_terms(claim.ctx_rhs, fwd, path)) != ctx.normal_form(claim.rhs):
             return "context rhs does not match slack rhs under the map"
     except MalformedCertificateError as e:
         return e.message

@@ -14,6 +14,7 @@ solutions satisfying them.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from itertools import product as iproduct
 
@@ -21,6 +22,7 @@ from .arith import _TRIAL_LIMIT, mult_order
 from .symbolic import ExpExpr, Lin, Term
 
 __all__ = [
+    "RESIDUE_MODULUS_MAX",
     "ConstraintSet",
     "ResidueClassSet",
     "SieveError",
@@ -31,6 +33,7 @@ __all__ = [
     "two_term_solutions",
     "find_killing_modulus",
     "KillingWitness",
+    "refine_residues",
 ]
 
 TORUS_CELL_LIMIT = 4_000_000
@@ -39,6 +42,11 @@ MODULUS_SCAN_MAX = 1_000  # largest m_max of find_killing_modulus: each modulus 
 # and its totient by trial division alone, so a modulus read from a
 # certificate cannot send the factoring into Pollard rho without bound.
 MODULUS_MAX = _TRIAL_LIMIT**2
+# Largest modulus whose residues are enumerated.  Combining two residue
+# constraints on one name lists every residue below the lcm of their moduli,
+# and a certificate or a command line chooses those moduli, so without a
+# limit it would choose the time and memory spent.
+RESIDUE_MODULUS_MAX = 100_000
 
 
 class SieveError(ValueError):
@@ -58,18 +66,29 @@ class TorusTooLargeError(SieveError):
     pass
 
 
+def refine_residues(m0: int, s0, m: int, allowed) -> tuple[int, frozenset]:
+    """The residues mod lcm(m0, m) that lie in s0 (mod m0) and in allowed (mod m).
+
+    Raises ValueError when the lcm is above RESIDUE_MODULUS_MAX."""
+    m1 = math.lcm(m0, m)
+    if m1 > RESIDUE_MODULUS_MAX:
+        raise ValueError(f"residue modulus lcm({m0}, {m}) = {m1} is above {RESIDUE_MODULUS_MAX}")
+    return m1, frozenset(a for a in range(m1) if a % m0 in s0 and a % m in allowed)
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Per-variable residue constraints plus exact linear congruences.
 
     residues maps a variable (or exponent-atom name) to (modulus, allowed
     residue set); fixed pins a variable to one value; lower_bounds record
-    known minima (every exponent variable is >= 1 unless stated).
+    known minima (every exponent variable is >= 1 unless stated), as any
+    mapping: the sieve only reads it, and only the names it needs.
     """
 
     residues: dict[str, tuple[int, frozenset[int]]] = field(default_factory=dict)
     fixed: dict[str, int] = field(default_factory=dict)
-    lower_bounds: dict[str, int] = field(default_factory=dict)
+    lower_bounds: Mapping[str, int] = field(default_factory=dict)
     congruences: tuple[tuple[Lin, int], ...] = ()
 
     @staticmethod
@@ -90,10 +109,10 @@ class ConstraintSet:
         allowed = {a % modulus for a in allowed}
         merged = dict(self.residues)
         if name in merged:
-            m0, s0 = merged[name]
-            m1 = math.lcm(m0, modulus)
-            s1 = frozenset(a for a in range(m1) if a % m0 in s0 and a % modulus in allowed)
-            merged[name] = (m1, s1)
+            try:
+                merged[name] = refine_residues(*merged[name], modulus, allowed)
+            except ValueError as e:
+                raise SieveError(f"constraints on {name}: {e}") from None
         else:
             merged[name] = (modulus, frozenset(allowed))
         return replace(self, residues=merged)
@@ -177,16 +196,23 @@ def _exp_lower_bound(e: ExpExpr, constraints: ConstraintSet) -> int:
 
 def _term_is_constant_zero(term: Term, m: int, constraints: ConstraintSet) -> bool:
     # A term vanishes identically mod m when m divides coef * prod(b**lb)
-    # with lb a proven lower bound for each exponent.  Divisibility by m
-    # never needs more than bit_length(m) copies of a base, so cap there.
+    # with lb >= 0 a proven lower bound for each exponent.  Divisibility by
+    # m never needs more than bit_length(m) copies of a base, so cap there.
+    # A power of a unit mod m never changes whether the product is 0, so the
+    # non-unit bases decide it, and a unit base's bound is read only for the
+    # sign guard, once the term would vanish.
     cap = m.bit_length() + 1
     acc = term.coef % m
+    units = []
     for p in term.powers:
+        if math.gcd(p.base, m) == 1:
+            units.append(p)
+            continue
         lb = _exp_lower_bound(p.exp, constraints)
         if lb < 0:
             return False
         acc = acc * pow(p.base, min(lb, cap), m) % m
-    return acc == 0
+    return acc == 0 and all(_exp_lower_bound(p.exp, constraints) >= 0 for p in units)
 
 
 @dataclass

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from jesma import arith
 from jesma.arith import (
+    PRIME_PROOF_LIMIT,
     ArithError,
+    FactoringLimitError,
     factorize,
+    factorize_bounded,
     is_perfect_power_of,
     is_prime,
     mult_order,
@@ -65,6 +68,24 @@ def test_factorize_large_semiprime():
     assert factorize(p * p).pairs == ((p, 2),)
     big = 1_000_000_000_039
     assert factorize(6 * big).pairs == ((2, 1), (3, 1), (big, 1))
+
+
+def test_factorize_bounded_stays_in_trial_division(monkeypatch):
+    def no_rho(n):
+        raise AssertionError(f"Pollard rho reached on {n}")
+
+    monkeypatch.setattr(arith, "_pollard_rho", no_rho)
+    p, q = 1_000_003, 1_000_033
+    big = 1_000_000_000_039  # a prime cofactor above 10**12, proved by is_prime
+    near_limit = _next_prime(PRIME_PROOF_LIMIT - 10**6)
+    for n in (1, 99, 8281, p * p - 1, 12 * big, near_limit, 2**61 - 1, 2**20 * 3**30 * 999_983):
+        assert factorize_bounded(n) == factorize(n), n
+    # composite cofactors, and a prime beyond the proof range of is_prime
+    for n in (p * q, 6 * p * p, (2**127 - 1) * (2**107 - 1), 2**127 - 1, _next_prime(PRIME_PROOF_LIMIT)):
+        with pytest.raises(FactoringLimitError, match="is not provably prime"):
+            factorize_bounded(n)
+    with pytest.raises(ArithError):
+        factorize_bounded(0)
 
 
 def test_perfect_power_examples():

@@ -19,6 +19,8 @@ from jesma.certificate import (
     verify_certificate,
     verify_inequality_step,
 )
+from jesma.certificate import context
+from jesma.certificate.context import Context
 from jesma.certificate.ineq import IneqClaim
 from jesma.certificate.model import MAX_TREE_DEPTH, Node, terms_to_json
 from jesma.cli import main
@@ -452,6 +454,12 @@ HUGE_MODULUS = (2**127 - 1) * (2**107 - 1)
 _RESIDUE_SPLIT = (6, 2, 0, 0, 0, 0)  # theorem: splits y, known even, mod 4
 _CLAIM = ["tree", "children", 1, "children", 0, "step", "claims", 0]  # subcase: first inequality claim
 _CLAIM_PATH = "$.tree.children[1].children[0].claims[0]"
+# theorem: the first claim of an equation-impossible leaf in case-1-1
+PROBE_CLAIM = ["tree", "children", 3, "children", 1, "children", 0, "step", "claims", 0]
+PROBE_PATH = "$.tree.children[3].children[1].children[0]"
+# a Pythagorean triple (p^2 - q^2, 2pq, p^2 + q^2) whose w has a cofactor
+# far above the range where is_prime is a proof
+_P, _Q = 2**100, 3**50
 
 
 def _node_path(node) -> str:
@@ -509,6 +517,14 @@ HOSTILE_EDITS = [
      lambda o: _walk(o, _CLAIM + ["lhs", 0, "powers", 0, "exp", "lin"]).update(d=str(10**7)), _CLAIM_PATH, 1),
     ("claim-divisor-huge", "subcase_z_lt_x_lt_y",
      lambda o: _walk(o, _CLAIM + ["inv", "u"]).update(div=str(10**9)), _CLAIM_PATH, 1),
+    ("claim-coef-unfactorable", "theorem_20_99_101",
+     lambda o: _walk(o, PROBE_CLAIM + ["ctx_lhs", 0]).update(coef=str(HUGE_MODULUS)), PROBE_PATH, 1),
+    ("factor-split-base-unfactorable", "theorem_20_99_101",
+     lambda o: _walk(o, ["tree", *(k for i in _FACTOR_SPLIT for k in ("children", i)), "step", "p"]).update(
+         base=str(HUGE_MODULUS)), _node_path(_FACTOR_SPLIT), 1),
+    ("valuation-split-base-unfactorable", "theorem_20_99_101",
+     lambda o: o["equation"].update(u=str(_P**2 - _Q**2), v=str(2 * _P * _Q), w=str(_P**2 + _Q**2)),
+     "$.tree.children[3]", 1),
 ]
 
 
@@ -529,6 +545,14 @@ def test_hostile_edit_is_rejected_at_its_node(name, mutate, path, code):
     verdict = verify_certificate(Certificate.from_json(obj))
     assert not verdict.valid
     assert verdict.path == path, verdict.describe()
+
+
+@pytest.mark.parametrize("name", [e[0] for e in HOSTILE_EDITS if e[0].endswith("-unfactorable")])
+def test_unfactorable_integer_is_rejected_in_one_line(name):
+    _, cert, mutate, path, _ = next(e for e in HOSTILE_EDITS if e[0] == name)
+    verdict = verify_certificate(Certificate.from_json(_hostile(cert, mutate)))
+    assert verdict.path == path
+    assert verdict.reason.startswith("cannot factor a ") and verdict.reason.endswith(" is not provably prime")
 
 
 def test_residue_split_rejection_lists_few_residues():
@@ -581,3 +605,67 @@ def test_hostile_payload_value_ends_in_a_verdict(data):
     except MalformedCertificateError:
         return
     assert isinstance(verify_certificate(cert), Verdict)
+
+
+# -- work per verification ------------------------------------------------------
+
+
+def _count_work(monkeypatch) -> dict:
+    """Count Fourier-Motzkin runs and exponent lower-bound proofs."""
+    counts = {"fm": 0, "bounds": 0}
+    real_infeasible = context._infeasible
+    real_bound = Context.exp_lower_bound
+
+    def infeasible(facts):
+        counts["fm"] += 1
+        return real_infeasible(facts)
+
+    def bound(self, e, cap):
+        counts["bounds"] += 1
+        return real_bound(self, e, cap)
+
+    monkeypatch.setattr(context, "_infeasible", infeasible)
+    monkeypatch.setattr(Context, "exp_lower_bound", bound)
+    return counts
+
+
+def test_theorem_verification_work_is_pinned(monkeypatch):
+    # proving every bound up front and deciding each problem anew took 463
+    # Fourier-Motzkin runs and 133 bound proofs
+    counts = _count_work(monkeypatch)
+    assert verify_certificate(Certificate.from_json(_shipped("theorem_20_99_101"))).valid
+    assert counts["fm"] <= 89 and counts["bounds"] <= 26, counts
+
+
+def test_each_verification_has_its_own_memo(monkeypatch):
+    memos: list[list] = []
+    real_implied = Context.implied
+
+    def implied(self, lin):
+        memos[-1].append(self.memo)
+        return real_implied(self, lin)
+
+    monkeypatch.setattr(Context, "implied", implied)
+    cert = Certificate.from_json(_shipped("theorem_20_99_101"))
+    for _ in range(2):
+        memos.append([])
+        assert verify_certificate(cert).valid
+    first, second = memos
+    assert first and all(m is first[0] for m in first)
+    assert second and all(m is second[0] for m in second)
+    assert first[0] is not second[0]
+
+
+def test_verdicts_do_not_depend_on_earlier_verifications():
+    base = _shipped("theorem_20_99_101")
+    mutants = []
+    for _, mutate, _ in _mutations_theorem(base):
+        obj = copy.deepcopy(base)
+        mutate(obj)
+        mutants.append(Certificate.from_json(obj))
+    original = Certificate.from_json(base)
+    fresh = [verify_certificate(m) for m in mutants]
+    for mutant, verdict in zip(mutants, fresh):
+        assert not verdict.valid
+        assert verify_certificate(original) == Verdict(True)
+        assert verify_certificate(mutant) == verdict

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from test_certificate import HOSTILE_EDITS, _hostile, _shipped
+from test_certificate import HOSTILE_EDITS, HUGE_MODULUS, PROBE_CLAIM, PROBE_PATH, _hostile, _shipped, _walk
 
+import jesma
 from jesma.cli import main, parse_constraint, parse_terms
 from jesma.sieve import ConstraintSet
 
@@ -233,10 +237,12 @@ def test_prove_bad_terms_exit_2(capsys):
         (["verify", "-", "--builtin", "killed"], "bad input: give a certificate file or --builtin"),
         (["verify", "--builtin", ""], "no builtin certificate matches ''"),
         ([*PROVE_KILL, "--output", "/dev/null/kill.json"], "cannot write certificate:"),
+        (["prove", "--terms", "3^x - 9^y", "--constraint", "x%10007=1", "--constraint", "x%10009=1"],
+         "bad input: constraints on x: residue modulus lcm(10007, 10009) = 100160063 is above 100000"),
     ],
     ids=["mmax-1", "mmax-huge", "order-cap-0", "constant-digits", "constant-exponent", "search-bounds",
          "terai-bounds", "verify-file-and-builtin", "verify-stdin-and-builtin", "verify-empty-builtin",
-         "prove-output-unwritable"],
+         "prove-output-unwritable", "constraint-lcm-huge"],
 )
 def test_out_of_range_input_exits_2(capsys, argv, message):
     code, out, err = run(argv, capsys)
@@ -267,6 +273,38 @@ def test_verify_hostile_edit_exits_without_traceback(tmp_path, capsys, name, mut
         assert err == "" and f"invalid at {path}: " in out
     else:
         assert out == "" and err.startswith(f"cannot load certificate: {path}: ") and len(err.splitlines()) == 1
+
+
+def _probe_argv(tmp_path) -> list[str]:
+    obj = _shipped("theorem_20_99_101")
+    _walk(obj, PROBE_CLAIM + ["ctx_lhs", 0])["coef"] = str(HUGE_MODULUS)
+    f = tmp_path / "probe.cert.json"
+    f.write_text(json.dumps(obj))
+    return ["verify", str(f)]
+
+
+def _lcm_argv(tmp_path) -> list[str]:
+    return ["prove", "--terms", "3^x - 9^y", "--constraint", "x%1000003=1", "--constraint", "x%1000033=1",
+            "--mmax", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv_of, code, line",
+    [(_probe_argv, 1, f"invalid at {PROBE_PATH}: cannot factor a 234-bit integer"),
+     (_lcm_argv, 2, "bad input: constraints on x: residue modulus lcm(1000003, 1000033)")],
+    ids=["factoring-probe", "constraint-lcm"],
+)
+def test_hostile_input_ends_at_once_under_python_O(tmp_path, argv_of, code, line):
+    """Each input once ran without bound; the command now ends in well under
+    the timeout, with assertions stripped, and prints one line."""
+    src = str(Path(jesma.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-m", "jesma.cli", *argv_of(tmp_path)],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == code
+    output = proc.stdout if code == 1 else proc.stderr
+    assert line in output and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == (code == 2)
 
 
 @pytest.mark.parametrize("argv", [["verify"], ["corpus", "--file"]], ids=["verify", "corpus"])

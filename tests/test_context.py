@@ -3,6 +3,7 @@ and residue reasoning against plain enumeration."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +16,10 @@ from jesma.certificate.context import (
     _normalize_fact,
     refine_residues,
 )
+from jesma.certificate.engine import _sieve_constraints
 from jesma.certificate.ineq import _lin_residues_mod
-from jesma.symbolic import ExpExpr, Lin
+from jesma.sieve import ConstraintSet, SieveError, congruence_solutions
+from jesma.symbolic import ExpExpr, Lin, Power, Term
 
 VARS = ("x", "y", "z")
 SYMS = ("r", "s")
@@ -132,6 +135,83 @@ def test_implied_rounds_after_substitution():
 def test_exp_lower_bound_matches_unmemoized(ctx, lin, sym, off, cap):
     e = ExpExpr(lin, sym, off)
     assert ctx.exp_lower_bound(e, cap) == _exp_lower_bound_reference(ctx, e, cap)
+
+
+def _eager_sieve_constraints(ctx: Context, terms, m: int) -> ConstraintSet:
+    # proves a bound for every power before the sieve runs, as the verifier
+    # did before it handed the sieve bounds proved on demand
+    cons = ConstraintSet.none()
+    for name, (mm, allowed) in ctx.residues.items():
+        cons = cons.with_residue(name, mm, set(allowed))
+    for name, value in ctx.fixed.items():
+        cons = cons.with_fixed(name, value)
+    cap = m.bit_length() + 1
+    for t in terms:
+        for p in t.powers:
+            bare = ExpExpr(p.exp.lin, p.exp.sym)
+            name = bare.atom_name()
+            lb = ctx.exp_lower_bound(bare, cap)
+            if lb > cons.lower_bound(name):
+                cons = cons.with_lower_bound(name, lb)
+    return cons
+
+
+# two exponents a certificate may write, both named "x+1": the second is a
+# variable of that name
+_COLLIDING = (ExpExpr(Lin.var("x") + 1), ExpExpr(Lin.var("x+1")))
+_exps = st.one_of(
+    st.builds(ExpExpr, _lins),
+    st.builds(ExpExpr, _lins, st.sampled_from(SYMS), st.integers(-2, 2)),
+    st.sampled_from(_COLLIDING),
+)
+_terms = st.builds(
+    lambda coef, powers: Term(coef, tuple(Power(b, e) for b, e in powers)),
+    st.sampled_from([1, -1, 2, -3, 4, 6, -9]),
+    st.lists(st.tuples(st.sampled_from([2, 3, 4, 5, 6, 7, 10]), _exps), min_size=1, max_size=3),
+)
+
+
+def _solutions_or_error(terms, m, cons):
+    try:
+        return congruence_solutions(terms, m, cons, order_cap=60)
+    except SieveError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_contexts(), st.integers(-1, 5), st.lists(_terms, min_size=1, max_size=3), st.integers(2, 16), st.data())
+def test_lazy_bounds_match_eager_bounds(ctx, low, terms, m, data):
+    """The bounds the sieve proves as it reads them give the same solutions
+    as bounds proved for every power up front, also for a fixed name and
+    for two exponents of one name."""
+    names = sorted({p.exp.atom_name() for t in terms for p in t.powers} | set(VARS + SYMS))
+    fixed = data.draw(st.dictionaries(st.sampled_from(names), st.integers(-1, 5), max_size=2))
+    ctx = replace(ctx.with_fact(Lin.var("x+1") - low), fixed=fixed)
+    eager = _eager_sieve_constraints(ctx, terms, m)
+    lazy = _sieve_constraints(ctx, terms, m)
+    assert _solutions_or_error(terms, m, lazy) == _solutions_or_error(terms, m, eager)
+    assert dict(lazy.lower_bounds) == eager.lower_bounds
+
+
+def test_lazy_bounds_keep_the_last_bound_above_a_fixed_value():
+    # above a fixed value, each exponent named "x+1" in turn replaces the
+    # bound proved before it, so the last occurrence decides: 4, not 2
+    a, b = _COLLIDING  # x + 1 >= 4 and the variable x+1 >= 2
+    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
+    ctx = replace(ctx.with_fact(Lin.var("x") - 3).with_fact(Lin.var("x+1") - 2), fixed={"x+1": 1})
+    terms = [Term.of(1, (2, a)), Term.of(1, (3, b)), Term.of(1, (5, a))]
+    assert _eager_sieve_constraints(ctx, terms, 16).lower_bounds == {"x+1": 4}
+    assert dict(_sieve_constraints(ctx, terms, 16).lower_bounds) == {"x+1": 4}
+
+
+def test_normal_form_takes_terms_it_cannot_memoize():
+    # a certificate may put a list where a symbol belongs: such a term cannot
+    # be a memo key, and is normalized as if there were no memo
+    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
+    listed = ExpExpr(Lin.var("x"), [])
+    assert ctx.normal_form([Term(3, (Power(1, listed),))]) == ctx.normal_form([Term.of(3)])
+    with pytest.raises(ValueError, match="zero coefficient term"):
+        ctx.normal_form([Term(0, (Power(2, listed),))])
 
 
 def _lin_residues_reference(ctx: Context, lin: Lin, d: int) -> set[int]:

@@ -88,6 +88,16 @@ KILL_TERMS = [
 ]
 
 
+def test_merged_residue_modulus_is_bounded():
+    cons = ConstraintSet.none().with_residue("x", 32, {1})
+    merged, allowed = cons.with_residue("x", 3125, {1}).residues["x"]  # lcm 10**5, the limit
+    assert merged == sieve.RESIDUE_MODULUS_MAX and allowed == {1}
+    for m0, m1 in ((10_007, 10_009), (1_000_003, 1_000_033)):
+        cons = ConstraintSet.none().with_residue("x", m0, {1})
+        with pytest.raises(SieveError, match=rf"constraints on x: residue modulus lcm\({m0}, {m1}\)"):
+            cons.with_residue("x", m1, {1})
+
+
 def test_killing_modulus_is_17():
     w = find_killing_modulus(KILL_TERMS, ConstraintSet.none().with_parity("z", 0), m_max=100)
     assert w is not None and w.modulus == 17
@@ -411,3 +421,37 @@ def test_sieve_scan_torus_matches_reference():
         assert congruence_solutions(KILL_TERMS, 37, cons, order_cap=120) == expected
     # z is stored (6 cells, 6^2 <= 23,328) and (a, b, y) streamed against it
     assert sides == [["z"], ["a", "b", "y"]]
+
+
+def _term_is_constant_zero_reference(term, m, constraints):
+    # the loop that reads every power's lower bound, unit bases included
+    cap = m.bit_length() + 1
+    acc = term.coef % m
+    for p in term.powers:
+        lb = sieve._exp_lower_bound(p.exp, constraints)
+        if lb < 0:
+            return False
+        acc = acc * pow(p.base, min(lb, cap), m) % m
+    return acc == 0
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.builds(
+        lambda coef, powers: Term(coef, tuple(Power(b, e) for b, e in powers)),
+        st.integers(-40, 40),
+        st.lists(st.tuples(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 15, 25]), exponents), max_size=4),
+    ),
+    st.sampled_from([2, 3, 4, 6, 8, 9, 12, 18, 24, 25, 30, 36, 100]),
+    st.data(),
+)
+def test_term_is_constant_zero_matches_full_loop(term, m, data):
+    """Setting unit bases aside gives the same answer as multiplying every
+    power in, also with non-unit bases, negative bounds and fixed values."""
+    names = sorted({p.exp.atom_name() for p in term.powers} | set(CONSTRAINT_NAMES))
+    cons = ConstraintSet.none()
+    for name, value in data.draw(st.lists(st.tuples(st.sampled_from(names), st.integers(-3, 9)), max_size=3)):
+        cons = cons.with_fixed(name, value)
+    for name, value in data.draw(st.lists(st.tuples(st.sampled_from(names), st.integers(-3, 9)), max_size=3)):
+        cons = cons.with_lower_bound(name, value)
+    assert sieve._term_is_constant_zero(term, m, cons) == _term_is_constant_zero_reference(term, m, cons)
