@@ -12,8 +12,8 @@ corpus cannot silently drift and an invalid entry is a diagnostic.
 from __future__ import annotations
 
 import json
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -27,6 +27,16 @@ __all__ = ["CorpusEntry", "CorpusError", "load_corpus", "load_default_corpus", "
 # without bound.  check_instance caps the bounds of each search.
 K_RANGE_MAX = 100  # most scales one pythag k_range may list
 EXPECTED_BITS_MAX = 1 << 20  # largest power, in bits, formed to re-verify an expected solution
+
+
+def __getattr__(name: str):
+    # the process pool loads on the first pooled run, as in jesma.search
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 class CorpusError(ValueError):
@@ -167,6 +177,6 @@ def run_entry(entry: CorpusEntry) -> EntryResult:
 def run_corpus(entries: list[CorpusEntry]) -> list[EntryResult]:
     workers = pool_workers(max(e.x_max * e.y_max for e in entries)) if len(entries) > 1 else 1
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_entry, entries))
     return [run_entry(e) for e in entries]

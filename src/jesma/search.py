@@ -9,11 +9,10 @@ third exponent never needs its own bound because the grid cell fixes it.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
+import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -36,6 +35,17 @@ BOUND_MAX = 1_000  # largest x_max / y_max: a search's work grows with x_max * y
 # Grid cells from which splitting rows over one process per CPU beats a single
 # process, measured on 2 CPUs: below it the pool's start-up costs more than it saves.
 POOL_MIN_CELLS = 250 * 250
+
+
+def __getattr__(name: str):
+    # PEP 562, as concurrent.futures itself does: the process pool's modules
+    # load on the first pooled search, not with every command.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 class DegenerateBaseError(ValueError):
@@ -188,8 +198,11 @@ def check_instance(bases: tuple[int, ...], x_max: int, y_max: int, form: str) ->
 def pool_workers(cells: int) -> int:
     """Processes for a search of `cells` grid cells: one per CPU from
     POOL_MIN_CELLS up, except inside a pool worker, and else one."""
-    pooled = cells >= POOL_MIN_CELLS and multiprocessing.parent_process() is None
-    return (os.cpu_count() or 1) if pooled else 1
+    if cells < POOL_MIN_CELLS:
+        return 1
+    import multiprocessing
+
+    return (os.cpu_count() or 1) if multiprocessing.parent_process() is None else 1
 
 
 def find_solutions(
@@ -210,7 +223,8 @@ def find_solutions(
     if workers > 1:
         chunk = (x_max + workers - 1) // workers
         rows = [range(lo, min(lo + chunk, x_max + 1)) for lo in range(1, x_max + 1, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # looked up on the module at call time, so a rebound class is the one used
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(spec.scan, repeat(bases), rows, repeat(y_max))
         found = [s for part in parts for s in part]
     else:

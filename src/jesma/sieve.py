@@ -14,7 +14,7 @@ solutions satisfying them.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from itertools import product as iproduct
 
@@ -30,6 +30,7 @@ __all__ = [
     "UnsupportedModulusError",
     "TorusTooLargeError",
     "congruence_solutions",
+    "has_solution",
     "two_term_solutions",
     "find_killing_modulus",
     "KillingWitness",
@@ -300,6 +301,29 @@ def congruence_solutions(
     stored cells with residue -(offset + r) mod m, a meet in the middle
     in the manner of baby-step giant-step.
     """
+    names, periods, cells = _solve(terms, m, constraints, order_cap)
+    return ResidueClassSet(m, names, periods, frozenset(cells))
+
+
+def has_solution(
+    terms: list[Term],
+    m: int,
+    constraints: ConstraintSet | None = None,
+    order_cap: int | None = None,
+) -> bool:
+    """Whether  sum(terms) == 0 (mod m)  has a solution on the residue torus:
+    not congruence_solutions(...).is_empty(), with the same errors, but the
+    join stops at its first surviving cell."""
+    _, _, cells = _solve(terms, m, constraints, order_cap)
+    return next(cells, None) is not None
+
+
+def _solve(
+    terms: list[Term], m: int, constraints: ConstraintSet | None, order_cap: int | None
+) -> tuple[tuple[str, ...], tuple[int, ...], Iterator[tuple[int, ...]]]:
+    """Check the arguments and plan the torus: its variables, their periods
+    and a generator of its surviving cells.  Every error is raised here,
+    before the first cell is joined."""
     if m < 2:
         raise SieveError(f"modulus must be >= 2, got {m}")
     if m > MODULUS_MAX:
@@ -310,11 +334,22 @@ def congruence_solutions(
     live, plan = _build_plan(terms, m, constraints, order_cap)
     names = tuple(n for n, _ in plan)
     periods = tuple(p for _, p in plan)
-    if constraints.unsatisfiable_names():
-        return ResidueClassSet(m, names, periods, frozenset())
+    return names, periods, _survivors(live, names, periods, m, constraints)
 
+
+def _survivors(
+    live: list[tuple[int, list[_EvalPower]]],
+    names: tuple[str, ...],
+    periods: tuple[int, ...],
+    m: int,
+    constraints: ConstraintSet,
+) -> Iterator[tuple[int, ...]]:
+    """Yield each cell of the torus that solves the congruence, its values
+    in the order of names, joining the stored side with the streamed one."""
+    if constraints.unsatisfiable_names():
+        return
     candidates: list[list[int]] = []
-    for name, period in plan:
+    for name, period in zip(names, periods):
         if name in constraints.fixed:
             v = constraints.fixed[name] % period
             opts = [v] if constraints.residue_allows(name, constraints.fixed[name]) else []
@@ -333,12 +368,10 @@ def congruence_solutions(
     # position in (stored values + streamed values) of each variable of names
     at = {i: k for k, i in enumerate(stored_side + streamed_side)}
     order = [at[i] for i in range(len(names))]
-    solutions: set[tuple[int, ...]] = set()
     for total, part in _side_sums(streamed_side, names, candidates, compiled, relevant_congruences):
         for head in stored.get((-offset - total) % m, ()):
             cell = head + part
-            solutions.add(tuple([cell[k] for k in order]))
-    return ResidueClassSet(m, names, periods, frozenset(solutions))
+            yield tuple([cell[k] for k in order])
 
 
 def _split_torus(
@@ -502,11 +535,14 @@ def find_killing_modulus(
     skipped: list[tuple[int, str]] = []
     for m in range(2, m_max + 1):
         try:
-            rcs = congruence_solutions(terms, m, constraints, order_cap=order_cap)
+            survives = has_solution(terms, m, constraints, order_cap=order_cap)
         except (UnsupportedModulusError, TorusTooLargeError) as e:
             skipped.append((m, str(e)))
             continue
         scanned.append(m)
-        if rcs.is_empty():
+        if not survives:
+            # no cell survives, so the killer's empty set needs only the plan, not a second join
+            names, periods, _ = _solve(terms, m, constraints, order_cap)
+            rcs = ResidueClassSet(m, names, periods, frozenset())
             return KillingWitness(m, rcs, tuple(scanned), tuple(skipped))
     return KillingWitness(None, None, tuple(scanned), tuple(skipped))

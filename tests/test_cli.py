@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -204,6 +205,14 @@ def test_prove_reports_scanned_and_skipped_moduli(tmp_path, capsys):
         "no killing modulus up to 40: the congruence stays solvable on every checkable "
         "modulus (20 moduli scanned, 19 skipped)\n"
     )
+
+
+def test_prove_output_bytes_are_pinned(tmp_path, capsys):
+    # the mod 17 kill's certificate, byte for byte, however the scan finds it
+    out_file = tmp_path / "kill.json"
+    assert run([*PROVE_KILL, "--output", str(out_file)], capsys)[0] == 0
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == "ba691046196f843c0936567128a6679bd9cf75d730e8b1d967e5ac819a5e3791"
 
 
 def test_prove_range_too_small_exits_1(capsys):

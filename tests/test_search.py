@@ -162,3 +162,45 @@ def test_self_check_survives_optimize_flag():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "caught"
+
+
+POOL_FOOTPRINT = """
+import os, sys
+import jesma.cli
+from jesma import corpus, search
+POOL = ("concurrent.futures.process", "multiprocessing")
+print(*(m in sys.modules for m in POOL))
+serial = search.find_solutions((340, 1683, 1717), 249, 249)  # below the crossover
+print(*(m in sys.modules for m in POOL))
+os.cpu_count = lambda: 2  # pool on any machine
+pooled = search.find_solutions((340, 1683, 1717), 250, 250)
+print(*(m in sys.modules for m in POOL))
+# the pooled branch looked the class up on the module, which cached it there
+print("ProcessPoolExecutor" in vars(search), "ProcessPoolExecutor" in vars(corpus))
+print(pooled.solutions == serial.solutions == ((2, 2, 2),))
+"""
+
+
+def test_pool_modules_load_on_the_first_pooled_search():
+    src = Path(jesma.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", POOL_FOOTPRINT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "False False",
+        "False False",
+        "True True",
+        "True False",
+        "True",
+    ]
+
+
+def test_pool_class_is_a_lazy_module_attribute():
+    from jesma import corpus, search
+
+    for module in (search, corpus):
+        assert module.ProcessPoolExecutor is ProcessPoolExecutor
+        with pytest.raises(AttributeError, match="no attribute 'Pool'"):
+            module.Pool

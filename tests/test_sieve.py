@@ -7,11 +7,15 @@ from hypothesis import given, settings, strategies as st
 from jesma import sieve
 from jesma.sieve import (
     ConstraintSet,
+    KillingWitness,
     NotAUnitError,
     ResidueClassSet,
     SieveError,
+    TorusTooLargeError,
+    UnsupportedModulusError,
     congruence_solutions,
     find_killing_modulus,
+    has_solution,
     two_term_solutions,
 )
 from jesma.symbolic import ExpExpr, Lin, Power, Term
@@ -455,3 +459,102 @@ def test_term_is_constant_zero_matches_full_loop(term, m, data):
     for name, value in data.draw(st.lists(st.tuples(st.sampled_from(names), st.integers(-3, 9)), max_size=3)):
         cons = cons.with_lower_bound(name, value)
     assert sieve._term_is_constant_zero(term, m, cons) == _term_is_constant_zero_reference(term, m, cons)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the SieveError it raises."""
+    try:
+        return fn(*args)
+    except SieveError as e:
+        return type(e), str(e)
+
+
+def _check_has_solution(terms, m, ops, order_cap, contradict):
+    cons = ConstraintSet.none()
+    for op in ops:
+        cons = _apply(cons, op)
+    if contradict:  # x odd and x even: no cell survives, whatever the torus
+        cons = cons.with_parity("x", 0).with_parity("x", 1)
+    with mock.patch.object(sieve, "TORUS_CELL_LIMIT", 20_000):
+        full = _outcome(congruence_solutions, terms, m, cons, order_cap)
+        early = _outcome(has_solution, terms, m, cons, order_cap)
+    if isinstance(full, ResidueClassSet):
+        assert early is (not full.is_empty())
+        if contradict:
+            assert early is False
+    else:
+        assert early == full  # the same error type and message
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms_st,
+    st.one_of(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]), st.integers(0, 40)),
+    st.lists(constraint_ops, max_size=3),
+    st.sampled_from([None, 6, 12]),
+    st.booleans(),
+)
+def test_has_solution_matches_full_enumeration(terms, m, ops, order_cap, contradict):
+    """has_solution is congruence_solutions' emptiness, or the same error."""
+    _check_has_solution(terms, m, ops, order_cap, contradict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grouped_terms_st,
+    st.one_of(st.sampled_from([3, 5, 7, 9, 11, 13, 17]), st.integers(2, 24)),
+    st.lists(grouped_constraint_ops, max_size=3),
+    st.sampled_from([None, 6, 12]),
+    st.booleans(),
+)
+def test_has_solution_matches_full_enumeration_on_grouped_tori(terms, m, ops, order_cap, contradict):
+    _check_has_solution(terms, m, ops, order_cap, contradict)
+
+
+@pytest.mark.parametrize(
+    "terms, m, order_cap, error",
+    [
+        (KILL_TERMS, 1, None, SieveError),
+        (KILL_TERMS, sieve.MODULUS_MAX + 1, None, SieveError),
+        ([], 7, None, SieveError),
+        ([Term.of(1, (3, v("x"))), Term.of(-1)], 6, None, UnsupportedModulusError),
+        (KILL_TERMS, 37, 10, TorusTooLargeError),
+        ([Term.of(1, (3, v("x")), (2, ExpExpr(Lin.const_of(-1))))], 7, None, SieveError),
+    ],
+    ids=["modulus-1", "modulus-huge", "no-terms", "non-unit-base", "order-cap", "negative-constant"],
+)
+def test_has_solution_raises_as_congruence_solutions(terms, m, order_cap, error):
+    full = _outcome(congruence_solutions, terms, m, None, order_cap)
+    assert full[0] is error
+    assert _outcome(has_solution, terms, m, None, order_cap) == full
+
+
+def _reference_scan(terms, constraints, m_max, order_cap=120):
+    """find_killing_modulus as a loop over the full solution sets."""
+    scanned, skipped = [], []
+    for m in range(2, m_max + 1):
+        try:
+            rcs = congruence_solutions(terms, m, constraints, order_cap=order_cap)
+        except (UnsupportedModulusError, TorusTooLargeError) as e:
+            skipped.append((m, str(e)))
+            continue
+        scanned.append(m)
+        if rcs.is_empty():
+            return KillingWitness(m, rcs, tuple(scanned), tuple(skipped))
+    return KillingWitness(None, None, tuple(scanned), tuple(skipped))
+
+
+@pytest.mark.parametrize("m_max", [40, 200])
+@pytest.mark.parametrize("z_even", [False, True], ids=["any-z", "z-even"])
+def test_scan_record_matches_full_enumeration(m_max, z_even):
+    """The early-exit scan keeps the killer, every scanned and skipped
+    modulus with its message, and the killer's variables and periods."""
+    cons = ConstraintSet.none().with_parity("z", 0) if z_even else ConstraintSet.none()
+    witness = find_killing_modulus(KILL_TERMS, cons, m_max=m_max)
+    assert witness == _reference_scan(KILL_TERMS, cons, m_max)
+    if z_even:
+        assert witness.modulus == 17 and witness.solutions.is_empty()
+        assert witness.solutions.variables == ("a", "b", "y", "z")
+    else:
+        assert witness.modulus is None
+        assert len(witness.scanned) == {40: 20, 200: 44}[m_max]
