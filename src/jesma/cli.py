@@ -8,6 +8,7 @@ JSON output serializes every integer as a decimal string.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -299,7 +300,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict.valid else EXIT_MATH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Parsing leaves the parser as it was, so one instance serves every
+    `main` call in a process; callers must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="jesma",
         description="search, sieve and certify exponential Diophantine equations "
@@ -352,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; argparse errors raise SystemExit."""
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

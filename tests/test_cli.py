@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 from test_certificate import HOSTILE_EDITS, HUGE_MODULUS, PROBE_CLAIM, PROBE_PATH, _hostile, _shipped, _walk
 
 import jesma
-from jesma.cli import main, parse_constraint, parse_terms
+from jesma.cli import build_parser, main, parse_constraint, parse_terms
 from jesma.sieve import ConstraintSet
 
 
@@ -330,6 +331,46 @@ def test_verify_truncated_file_exits_2(tmp_path, capsys):
     f.write_text('{"version": "1", "title"')
     code, _, err = run(["verify", str(f)], capsys)
     assert code == 2
+
+
+def test_main_builds_one_parser_and_parses_each_argv_afresh(monkeypatch):
+    """Later calls reuse the parser, yet parse as a fresh process would: no
+    --constraint list and no default is left over from an earlier call,
+    nor from one that ended in an argparse error."""
+    bad = ["search", "--form", "cubic"]
+    calls = [
+        ["prove", "--terms", "3^x - 9^y", "--constraint", "x%2=1", "--constraint", "y odd", "--mmax", "20"],
+        ["prove", "--terms", "3^x - 9^y", "--mmax", "5"],
+        ["prove", "--terms", "3^x - 9^y", "--constraint", "x even", "--mmax", "5"],
+        bad,
+        ["search", "--form", "general", "--a", "3", "--b", "2", "--c", "5", "--xmax", "5", "--ymax", "5"],
+        ["search", "--form", "terai", "--b", "3", "--c", "5", "--json"],
+    ]
+    parsers, namespaces = [], []
+    real_parse = argparse.ArgumentParser.parse_args
+
+    def recording_parse(self, args=None, namespace=None):
+        parsers.append(self)
+        result = real_parse(self, args, namespace)
+        namespaces.append(dict(vars(result)))
+        return result
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse)
+    codes = []
+    for argv in calls:
+        try:
+            codes.append(main(argv))
+        except SystemExit as e:
+            codes.append(f"SystemExit({e.code})")
+    monkeypatch.undo()
+    assert codes == [0, 1, 1, "SystemExit(2)", 0, 0]
+    assert build_parser.cache_info().misses == 1
+    assert len(parsers) == len(calls) and all(p is build_parser() for p in parsers)
+    fresh = build_parser.__wrapped__()
+    assert namespaces == [vars(fresh.parse_args(argv)) for argv in calls if argv != bad]
+    assert [ns["constraint"] for ns in namespaces[:3]] == [["x%2=1", "y odd"], None, ["x even"]]
+    assert (namespaces[3]["xmax"], namespaces[4]["xmax"], namespaces[4]["json"]) == (5, 30, True)
 
 
 def test_parse_terms_round_trip():
