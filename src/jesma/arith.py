@@ -7,7 +7,8 @@ are valid for arbitrarily large operands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Frozen
 
 __all__ = [
     "ArithError",
@@ -137,11 +138,21 @@ def _pollard_rho(n: int) -> int:
     raise ArithError(f"rho failed to split {n}")  # unreachable at desk scale
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Frozen):
     """Prime factorization as (prime, exponent) pairs, ascending by prime."""
 
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "pairs", pairs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs == other.pairs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
 
     def value(self) -> int:
         out = 1

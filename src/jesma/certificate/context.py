@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from ..arith import factorize_bounded
+from ..record import FRESH, Frozen, Record, replace
 from ..reduction import OrderingClass
 from ..sieve import RESIDUE_MODULUS_MAX, refine_residues
 from ..symbolic import ExpExpr, Lin, Power, Term
@@ -114,24 +114,29 @@ def _term_form(t: Term) -> tuple:
     return (sign, tuple(sorted(pows)))
 
 
-@dataclass
-class VerificationMemo:
+class VerificationMemo(Record):
     """Answers one verification reuses across its contexts.
 
     Created with the root Context and handed on by replace(), so every
     context of one verification shares it and no two verifications do.
     """
 
-    refuted: dict = field(default_factory=dict)  # Fourier-Motzkin problem -> infeasible?
-    term_forms: dict = field(default_factory=dict)  # Term -> _term_form(Term)
+    _fields = ("refuted", "term_forms")
+
+    def __init__(self, refuted: dict = FRESH, term_forms: dict = FRESH):
+        self.refuted = {} if refuted is FRESH else refuted  # Fourier-Motzkin problem -> infeasible?
+        self.term_forms = {} if term_forms is FRESH else term_forms  # Term -> _term_form(Term)
 
 
-@dataclass(frozen=True)
-class DivisibilityFact:
-    divisor: Term
-    side: str  # "-" or "+": divisor divides P - Q or P + Q
-    p: Power
-    q: Power
+class DivisibilityFact(Frozen):
+    _fields = ("divisor", "side", "p", "q")
+
+    def __init__(self, divisor: Term, side: str, p: Power, q: Power):
+        # side "-" or "+": divisor divides P - Q or P + Q
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def substituted(self, var: str, repl: Lin) -> "DivisibilityFact":
         return DivisibilityFact(
@@ -142,11 +147,14 @@ class DivisibilityFact:
         )
 
 
-@dataclass(frozen=True)
-class ProvenInequality:
-    lhs: tuple[Term, ...]  # in context variables
-    rhs: tuple[Term, ...]
-    strict: bool
+class ProvenInequality(Frozen):
+    _fields = ("lhs", "rhs", "strict")
+
+    def __init__(self, lhs: tuple[Term, ...], rhs: tuple[Term, ...], strict: bool):
+        # both sides in context variables
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "strict", strict)
 
     def substituted(self, var: str, repl: Lin) -> "ProvenInequality":
         return ProvenInequality(
@@ -156,23 +164,50 @@ class ProvenInequality:
         )
 
 
-@dataclass(frozen=True)
-class Context:
-    triple: Triple | None
-    k_min: int
-    excluded: tuple[tuple[int, int, int], ...]
-    equation_form: str
-    ordering: OrderingClass | None = None
-    equations: dict = field(default_factory=dict)  # id -> (lhs terms, rhs terms)
-    facts: tuple[Fact, ...] = ()
-    residues: dict = field(default_factory=dict)  # name -> (mod, frozenset)
-    syms: tuple[str, ...] = ()
-    pattern: tuple[int, ...] | None = None  # primes of k dividing the isolated base
-    divisibilities: tuple[DivisibilityFact, ...] = ()
-    proven: tuple[ProvenInequality, ...] = ()
-    fixed: dict = field(default_factory=dict)  # name -> pinned integer value
-    conflict: str | None = None
-    memo: VerificationMemo = field(default_factory=VerificationMemo, compare=False, repr=False)
+class Context(Frozen):
+    """The facts of one proof branch.  Each dict left out is a new empty
+    one, and a left-out memo a new VerificationMemo; == and the repr leave
+    the memo out."""
+
+    _fields = (
+        "triple", "k_min", "excluded", "equation_form", "ordering", "equations", "facts", "residues",
+        "syms", "pattern", "divisibilities", "proven", "fixed", "conflict", "memo",
+    )
+    _compared = _shown = _fields[:-1]
+
+    def __init__(
+        self,
+        triple: Triple | None,
+        k_min: int,
+        excluded: tuple[tuple[int, int, int], ...],
+        equation_form: str,
+        ordering: OrderingClass | None = None,
+        equations: dict = FRESH,  # id -> (lhs terms, rhs terms)
+        facts: tuple[Fact, ...] = (),
+        residues: dict = FRESH,  # name -> (mod, frozenset)
+        syms: tuple[str, ...] = (),
+        pattern: tuple[int, ...] | None = None,  # primes of k dividing the isolated base
+        divisibilities: tuple[DivisibilityFact, ...] = (),
+        proven: tuple[ProvenInequality, ...] = (),
+        fixed: dict = FRESH,  # name -> pinned integer value
+        conflict: str | None = None,
+        memo: VerificationMemo = FRESH,
+    ):
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "k_min", k_min)
+        object.__setattr__(self, "excluded", excluded)
+        object.__setattr__(self, "equation_form", equation_form)
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "equations", {} if equations is FRESH else equations)
+        object.__setattr__(self, "facts", facts)
+        object.__setattr__(self, "residues", {} if residues is FRESH else residues)
+        object.__setattr__(self, "syms", syms)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "divisibilities", divisibilities)
+        object.__setattr__(self, "proven", proven)
+        object.__setattr__(self, "fixed", {} if fixed is FRESH else fixed)
+        object.__setattr__(self, "conflict", conflict)
+        object.__setattr__(self, "memo", VerificationMemo() if memo is FRESH else memo)
 
     # -- construction helpers --------------------------------------------------
 

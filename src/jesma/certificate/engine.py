@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 
 from ..arith import FactoringLimitError, factorize_bounded
+from ..record import Frozen, replace
 from ..reduction import OrderingClass, factor_k_symbolic
 from ..sieve import ConstraintSet, SieveError, congruence_solutions
 from ..symbolic import ExpExpr, Lin, Power, Term, term_product
@@ -51,11 +51,13 @@ _PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, AttributeError, ArithmeticEr
 _SHOWN_RESIDUES = 10  # missing residues a residue-split rejection lists
 
 
-@dataclass(frozen=True)
-class Verdict:
-    valid: bool
-    path: str = ""
-    reason: str = ""
+class Verdict(Frozen):
+    _fields = ("valid", "path", "reason")
+
+    def __init__(self, valid: bool, path: str = "", reason: str = ""):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.valid

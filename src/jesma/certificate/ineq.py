@@ -15,9 +15,9 @@ the proof branch still allows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ..record import Frozen
 from ..symbolic import CONST_BITS_MAX, ExpExpr, Lin, Power, Term
 from .context import RESIDUE_MODULUS_MAX, Context
 from .model import (
@@ -31,16 +31,28 @@ from .model import (
 __all__ = ["IneqClaim", "check_ratio_rule", "verify_claim_in_context", "claim_to_json", "claim_from_json"]
 
 
-@dataclass(frozen=True)
-class IneqClaim:
-    slacks: tuple[str, ...]
-    mapping: tuple[tuple[str, Lin], ...]  # context quantity -> linear form over slacks
-    inverse: tuple[tuple[str, Lin, int], ...]  # slack -> (form over ctx quantities, divisor)
-    lhs: tuple[Term, ...]  # over slacks
-    rhs: tuple[Term, ...]
-    ctx_lhs: tuple[Term, ...]  # same terms in context variables
-    ctx_rhs: tuple[Term, ...]
-    strict: bool
+class IneqClaim(Frozen):
+    _fields = ("slacks", "mapping", "inverse", "lhs", "rhs", "ctx_lhs", "ctx_rhs", "strict")
+
+    def __init__(
+        self,
+        slacks: tuple[str, ...],
+        mapping: tuple[tuple[str, Lin], ...],  # context quantity -> linear form over slacks
+        inverse: tuple[tuple[str, Lin, int], ...],  # slack -> (form over ctx quantities, divisor)
+        lhs: tuple[Term, ...],  # over slacks
+        rhs: tuple[Term, ...],
+        ctx_lhs: tuple[Term, ...],  # same terms in context variables
+        ctx_rhs: tuple[Term, ...],
+        strict: bool,
+    ):
+        object.__setattr__(self, "slacks", slacks)
+        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "ctx_lhs", ctx_lhs)
+        object.__setattr__(self, "ctx_rhs", ctx_rhs)
+        object.__setattr__(self, "strict", strict)
 
 
 def claim_to_json(c: IneqClaim) -> dict:
@@ -63,7 +75,7 @@ def claim_from_json(obj: dict, path: str = "ineq") -> IneqClaim:
             mapping=tuple(sorted((n, lin_from_json(l, path)) for n, l in obj.get("map", {}).items())),
             inverse=tuple(
                 sorted(
-                    (s, lin_from_json(e["lin"], path), int(e["div"]))
+                    (s, lin_from_json(e["lin"], path, atoms=True), int(e["div"]))
                     for s, e in obj.get("inv", {}).items()
                 )
             ),

@@ -9,10 +9,11 @@ any magnitude; canonical JSON has sorted keys and no whitespace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import re
 from importlib import resources
 from typing import Any
 
+from ..record import FRESH, Frozen
 from ..symbolic import ExpExpr, Lin, Power, Term
 
 __all__ = [
@@ -37,6 +38,8 @@ SCHEMA_VERSION = "1"
 # reach 12 levels; the cap keeps loading and verification, which recurse
 # once per level, far inside the interpreter's recursion limit.
 MAX_TREE_DEPTH = 200
+# The name ExpExpr.atom_name gives a symbol-scaled exponent atom.
+_ATOM_NAME = re.compile(r"[^\W\d]\w*\*\([\w+*-]+\)")
 
 
 class MalformedCertificateError(ValueError):
@@ -50,12 +53,19 @@ def lin_to_json(lin: Lin) -> dict:
     return {"c": {v: str(c) for v, c in lin.coeffs}, "d": str(lin.const)}
 
 
-def lin_from_json(obj: dict, path: str = "lin") -> Lin:
+def lin_from_json(obj: dict, path: str = "lin", atoms: bool = False) -> Lin:
+    """A linear form whose variable names are identifiers, so that no name
+    spells an exponent atom such as `x+1` or `r*(x)`.  With atoms, as in the
+    inverse map of an inequality claim, a name may also be an atom `sym*(...)`."""
     try:
         coeffs = {str(v): int(c) for v, c in obj.get("c", {}).items()}
-        return Lin.of(int(obj.get("d", "0")), **coeffs)
+        lin = Lin.of(int(obj.get("d", "0")), **coeffs)
     except (TypeError, ValueError, AttributeError) as e:
         raise MalformedCertificateError(path, f"bad linear form: {e}")
+    for v in coeffs:
+        if not (v.isidentifier() or atoms and _ATOM_NAME.fullmatch(v)):
+            raise MalformedCertificateError(path, f"variable name {v!r} is not an identifier")
+    return lin
 
 
 def exp_to_json(e: ExpExpr) -> dict:
@@ -69,7 +79,10 @@ def exp_to_json(e: ExpExpr) -> dict:
 
 def exp_from_json(obj: dict, path: str = "exp") -> ExpExpr:
     lin = lin_from_json(obj.get("lin", {}), path)
-    return ExpExpr(lin, obj.get("sym"), int(obj.get("off", "0")))
+    sym = obj.get("sym")
+    if sym is not None and not (isinstance(sym, str) and sym.isidentifier()):
+        raise MalformedCertificateError(path, f"symbol {sym!r} is not an identifier")
+    return ExpExpr(lin, sym, int(obj.get("off", "0")))
 
 
 def term_to_json(t: Term) -> dict:
@@ -98,12 +111,14 @@ def terms_from_json(objs, path: str = "terms") -> tuple[Term, ...]:
     return tuple(term_from_json(o, f"{path}[{i}]") for i, o in enumerate(objs))
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Frozen):
     """One proof step plus its children; leaves are contradiction steps."""
 
-    step: dict
-    children: tuple["Node", ...] = ()
+    _fields = ("step", "children")
+
+    def __init__(self, step: dict, children: tuple[Node, ...] = ()):
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "children", children)
 
     def to_json(self) -> dict:
         return {"step": self.step, "children": [c.to_json() for c in self.children]}
@@ -126,8 +141,7 @@ class Node:
         )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """A machine-checkable nonexistence proof for one equation.
 
     The tree's splits must exhaust their domains and every leaf must be a
@@ -136,12 +150,23 @@ class Certificate:
     hypotheses (for scaled Pythagorean targets: k >= k_min).
     """
 
-    title: str
-    equation: dict
-    excluded: tuple[tuple[int, int, int], ...]
-    tree: Node
-    metadata: dict = field(default_factory=dict)
-    version: str = SCHEMA_VERSION
+    _fields = ("title", "equation", "excluded", "tree", "metadata", "version")
+
+    def __init__(
+        self,
+        title: str,
+        equation: dict,
+        excluded: tuple[tuple[int, int, int], ...],
+        tree: Node,
+        metadata: dict = FRESH,
+        version: str = SCHEMA_VERSION,
+    ):
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "equation", equation)
+        object.__setattr__(self, "excluded", excluded)
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "metadata", {} if metadata is FRESH else metadata)
+        object.__setattr__(self, "version", version)
 
     def to_json(self) -> dict:
         return {

@@ -1,7 +1,8 @@
 """Command line front end: search, corpus, prove, verify.
 
 Exit codes: 0 success/valid, 1 mathematical failure (mismatch, invalid
-certificate, no killing modulus), 2 input error, 3 degenerate instance.
+certificate, no killing modulus), 2 input error or output the reader of
+stdout closed early, 3 degenerate instance.
 JSON output serializes every integer as a decimal string.
 """
 
@@ -360,8 +361,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; argparse errors raise SystemExit."""
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # so a reader that left early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout closed it, as `| head` does.  Send whatever is
+        # still buffered to devnull, so the flush at exit cannot fail again,
+        # and end quietly: the output could not be written, like an
+        # unwritable --output.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from importlib import resources
 
+from .record import Frozen
 from .search import FORMS, check_instance, find_solutions, pool_workers, scaled_bases
 from .triples import FAMILIES, Triple
 
@@ -43,15 +43,26 @@ class CorpusError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    id: str
-    form: str  # a key of search.FORMS; pythag entries search the general form
-    expected: frozenset[tuple[int, ...]]
-    searches: tuple[tuple[str, tuple[int, ...]], ...]  # (mismatch label, bases)
-    triple: Triple | None = None  # the unscaled triple of a pythag entry
-    x_max: int = 30
-    y_max: int = 30
+class CorpusEntry(Frozen):
+    _fields = ("id", "form", "expected", "searches", "triple", "x_max", "y_max")
+
+    def __init__(
+        self,
+        id: str,
+        form: str,  # a key of search.FORMS; pythag entries search the general form
+        expected: frozenset[tuple[int, ...]],
+        searches: tuple[tuple[str, tuple[int, ...]], ...],  # (mismatch label, bases)
+        triple: Triple | None = None,  # the unscaled triple of a pythag entry
+        x_max: int = 30,
+        y_max: int = 30,
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "searches", searches)
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "x_max", x_max)
+        object.__setattr__(self, "y_max", y_max)
 
 
 def _triple(obj: dict, where: str) -> Triple:
@@ -156,12 +167,17 @@ def load_default_corpus() -> tuple[list[CorpusEntry], list[str]]:
     return load_corpus(text)
 
 
-@dataclass(frozen=True)
-class EntryResult:
-    entry_id: str
-    passed: bool
-    detail: str
-    elapsed: float = field(compare=False, default=0.0)
+class EntryResult(Frozen):
+    """One corpus entry's outcome; == leaves out `elapsed`."""
+
+    _fields = ("entry_id", "passed", "detail", "elapsed")
+    _compared = _fields[:-1]
+
+    def __init__(self, entry_id: str, passed: bool, detail: str, elapsed: float = 0.0):
+        object.__setattr__(self, "entry_id", entry_id)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "elapsed", elapsed)
 
 
 def run_entry(entry: CorpusEntry) -> EntryResult:

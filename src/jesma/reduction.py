@@ -9,10 +9,10 @@ coprime reduced equation plus linear exponent relations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 
 from .arith import factorize, radical, valuation
+from .record import Frozen, replace
 from .symbolic import ExpExpr, Lin, Term
 from .triples import Triple
 
@@ -118,23 +118,24 @@ def le_theorem_check(t: Triple, k: int, sol: tuple[int, int, int]) -> tuple[bool
     return False, "no condition of the trichotomy holds"
 
 
-@dataclass(frozen=True)
-class ValuationRelation:
+class ValuationRelation(Frozen):
     """val * lhs == rhs, with val the p-adic valuation of k (an integer for
     concrete k, a symbol name otherwise) and lhs, rhs linear forms in the
     exponents."""
 
-    prime: int
-    val: int | str
-    lhs: Lin
-    rhs: Lin
+    _fields = ("prime", "val", "lhs", "rhs")
+
+    def __init__(self, prime: int, val: int | str, lhs: Lin, rhs: Lin):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "val", val)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def __str__(self) -> str:
         return f"{self.val}*({self.lhs}) = {self.rhs}"
 
 
-@dataclass(frozen=True)
-class KFactoredForm:
+class KFactoredForm(Frozen):
     """Result of dividing out the smallest k-power and matching valuations.
 
     With exponents ordered e1 < e2 < e3 and bases arranged accordingly,
@@ -142,15 +143,32 @@ class KFactoredForm:
     divide k force the relations below and the cofactor n1 of k collapses
     to 1; what remains is the coprime reduced equation."""
 
-    triple: Triple
-    ordering: OrderingClass
-    valuations: tuple[tuple[int, int | str], ...]  # prime -> valuation of k
-    cofactor: int | str
-    relations: tuple[ValuationRelation, ...]
-    cross_relations: tuple[Lin, ...]  # each == 0, e.g. r - 2q
-    reduced_lhs: tuple[Term, ...]
-    reduced_rhs: tuple[Term, ...]
-    contradiction: str | None = None
+    _fields = (
+        "triple", "ordering", "valuations", "cofactor", "relations",
+        "cross_relations", "reduced_lhs", "reduced_rhs", "contradiction",
+    )
+
+    def __init__(
+        self,
+        triple: Triple,
+        ordering: OrderingClass,
+        valuations: tuple[tuple[int, int | str], ...],  # prime -> valuation of k
+        cofactor: int | str,
+        relations: tuple[ValuationRelation, ...],
+        cross_relations: tuple[Lin, ...],  # each == 0, e.g. r - 2q
+        reduced_lhs: tuple[Term, ...],
+        reduced_rhs: tuple[Term, ...],
+        contradiction: str | None = None,
+    ):
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "valuations", valuations)
+        object.__setattr__(self, "cofactor", cofactor)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "cross_relations", cross_relations)
+        object.__setattr__(self, "reduced_lhs", reduced_lhs)
+        object.__setattr__(self, "reduced_rhs", reduced_rhs)
+        object.__setattr__(self, "contradiction", contradiction)
 
     def exponents_ascending(self) -> tuple[str, str, str]:
         return _STRICT_ORDER[self.ordering]

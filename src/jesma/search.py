@@ -13,10 +13,10 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from itertools import repeat
 
 from .arith import is_perfect_power_of
+from .record import Frozen
 from .triples import Triple
 
 __all__ = [
@@ -133,17 +133,27 @@ def _eisenstein_condition(bases: tuple[int, ...]) -> None:
         raise ValueError(f"{bases} violates a^2 + a*b + b^2 = c^2")
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(Frozen):
     """One equation shape: how to scan its grid, re-check a solution and
     print it.  The functions are module-level so a scan pickles to a worker."""
 
-    letters: str  # the names of the bases, in order, as the template uses them
-    scan: Callable[[tuple[int, ...], range, int], list[tuple[int, int, int]]]
-    holds: Callable[[tuple[int, ...], tuple[int, ...]], bool]
-    equation: str  # str.format template over the base letters
-    precondition: Callable[[tuple[int, ...]], None] | None = None  # raises ValueError
-    exponents: tuple[int, ...] = (0, 1, 2)  # where a solution holds exponents, grid pair first
+    _fields = ("letters", "scan", "holds", "equation", "precondition", "exponents")
+
+    def __init__(
+        self,
+        letters: str,  # the names of the bases, in order, as the template uses them
+        scan: Callable[[tuple[int, ...], range, int], list[tuple[int, int, int]]],
+        holds: Callable[[tuple[int, ...], tuple[int, ...]], bool],
+        equation: str,  # str.format template over the base letters
+        precondition: Callable[[tuple[int, ...]], None] | None = None,  # raises ValueError
+        exponents: tuple[int, ...] = (0, 1, 2),  # where a solution holds exponents, grid pair first
+    ):
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "scan", scan)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "equation", equation)
+        object.__setattr__(self, "precondition", precondition)
+        object.__setattr__(self, "exponents", exponents)
 
 
 FORMS = {
@@ -159,15 +169,29 @@ FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    form: str
-    bases: tuple[int, ...]
-    x_max: int
-    y_max: int
-    solutions: tuple[tuple[int, ...], ...]  # sorted lexicographically
-    candidates: int
-    elapsed: float = field(compare=False, default=0.0)
+class SearchReport(Frozen):
+    """One search's answer; == leaves out `elapsed`."""
+
+    _fields = ("form", "bases", "x_max", "y_max", "solutions", "candidates", "elapsed")
+    _compared = _fields[:-1]
+
+    def __init__(
+        self,
+        form: str,
+        bases: tuple[int, ...],
+        x_max: int,
+        y_max: int,
+        solutions: tuple[tuple[int, ...], ...],  # sorted lexicographically
+        candidates: int,
+        elapsed: float = 0.0,
+    ):
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "x_max", x_max)
+        object.__setattr__(self, "y_max", y_max)
+        object.__setattr__(self, "solutions", solutions)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "elapsed", elapsed)
 
     def solution_set(self) -> set[tuple[int, ...]]:
         return set(self.solutions)

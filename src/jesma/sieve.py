@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, replace
 from itertools import product as iproduct
 
 from .arith import _TRIAL_LIMIT, mult_order
+from .record import FRESH, Frozen, Record, replace
 from .symbolic import ExpExpr, Lin, Term
 
 __all__ = [
@@ -77,20 +77,29 @@ def refine_residues(m0: int, s0, m: int, allowed) -> tuple[int, frozenset]:
     return m1, frozenset(a for a in range(m1) if a % m0 in s0 and a % m in allowed)
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(Frozen):
     """Per-variable residue constraints plus exact linear congruences.
 
     residues maps a variable (or exponent-atom name) to (modulus, allowed
     residue set); fixed pins a variable to one value; lower_bounds record
     known minima (every exponent variable is >= 1 unless stated), as any
-    mapping: the sieve only reads it, and only the names it needs.
+    mapping: the sieve only reads it, and only the names it needs.  Each
+    mapping left out is a new empty dict.
     """
 
-    residues: dict[str, tuple[int, frozenset[int]]] = field(default_factory=dict)
-    fixed: dict[str, int] = field(default_factory=dict)
-    lower_bounds: Mapping[str, int] = field(default_factory=dict)
-    congruences: tuple[tuple[Lin, int], ...] = ()
+    _fields = ("residues", "fixed", "lower_bounds", "congruences")
+
+    def __init__(
+        self,
+        residues: dict[str, tuple[int, frozenset[int]]] = FRESH,
+        fixed: dict[str, int] = FRESH,
+        lower_bounds: Mapping[str, int] = FRESH,
+        congruences: tuple[tuple[Lin, int], ...] = (),
+    ):
+        object.__setattr__(self, "residues", {} if residues is FRESH else residues)
+        object.__setattr__(self, "fixed", {} if fixed is FRESH else fixed)
+        object.__setattr__(self, "lower_bounds", {} if lower_bounds is FRESH else lower_bounds)
+        object.__setattr__(self, "congruences", congruences)
 
     @staticmethod
     def none() -> "ConstraintSet":
@@ -139,8 +148,7 @@ class ConstraintSet:
         return sorted(set(bad))
 
 
-@dataclass(frozen=True)
-class ResidueClassSet:
+class ResidueClassSet(Frozen):
     """Exact solution set of one congruence on its finite torus.
 
     Each tuple lists one residue per variable, reduced into [0, period).
@@ -148,10 +156,15 @@ class ResidueClassSet:
     constraints iff it is listed.
     """
 
-    modulus: int
-    variables: tuple[str, ...]
-    periods: tuple[int, ...]
-    tuples: frozenset[tuple[int, ...]]
+    _fields = ("modulus", "variables", "periods", "tuples")
+
+    def __init__(
+        self, modulus: int, variables: tuple[str, ...], periods: tuple[int, ...], tuples: frozenset[tuple[int, ...]]
+    ):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "periods", periods)
+        object.__setattr__(self, "tuples", tuples)
 
     def is_empty(self) -> bool:
         return not self.tuples
@@ -216,12 +229,14 @@ def _term_is_constant_zero(term: Term, m: int, constraints: ConstraintSet) -> bo
     return acc == 0 and all(_exp_lower_bound(p.exp, constraints) >= 0 for p in units)
 
 
-@dataclass
-class _EvalPower:
-    base: int
-    order: int
-    exp: ExpExpr
-    atom: str | None  # enumeration name when exp is symbol-scaled
+class _EvalPower(Record):
+    _fields = ("base", "order", "exp", "atom")
+
+    def __init__(self, base: int, order: int, exp: ExpExpr, atom: str | None):
+        self.base = base
+        self.order = order
+        self.exp = exp
+        self.atom = atom  # enumeration name when exp is symbol-scaled
 
 
 def _build_plan(
@@ -504,16 +519,24 @@ def two_term_solutions(
     return congruence_solutions(terms, m, constraints)
 
 
-@dataclass(frozen=True)
-class KillingWitness:
+class KillingWitness(Frozen):
     """The record of a killing-modulus scan.  modulus and solutions are the
     killing modulus and its empty solution set, or None when no scanned
     modulus kills; scanned and skipped list every modulus tried."""
 
-    modulus: int | None
-    solutions: ResidueClassSet | None
-    scanned: tuple[int, ...]
-    skipped: tuple[tuple[int, str], ...]
+    _fields = ("modulus", "solutions", "scanned", "skipped")
+
+    def __init__(
+        self,
+        modulus: int | None,
+        solutions: ResidueClassSet | None,
+        scanned: tuple[int, ...],
+        skipped: tuple[tuple[int, str], ...],
+    ):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "solutions", solutions)
+        object.__setattr__(self, "scanned", scanned)
+        object.__setattr__(self, "skipped", skipped)
 
 
 def find_killing_modulus(

@@ -12,8 +12,9 @@ identities, substitute variables, and evaluate exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Frozen
 
 __all__ = ["CONST_BITS_MAX", "Lin", "ExpExpr", "Power", "Term", "term_product"]
 
@@ -24,12 +25,22 @@ __all__ = ["CONST_BITS_MAX", "Lin", "ExpExpr", "Power", "Term", "term_product"]
 CONST_BITS_MAX = 14_000
 
 
-@dataclass(frozen=True)
-class Lin:
+class Lin(Frozen):
     """Integer-linear expression: sum(coeffs[v] * v) + const."""
 
-    coeffs: tuple[tuple[str, int], ...]
-    const: int = 0
+    _fields = ("coeffs", "const")
+
+    def __init__(self, coeffs: tuple[tuple[str, int], ...], const: int = 0):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "const", const)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs and self.const == other.const
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.const))
 
     @staticmethod
     def of(const: int = 0, /, **coeffs: int) -> "Lin":
@@ -95,19 +106,27 @@ class Lin:
         return out[1:] if out.startswith("+") else out
 
 
-@dataclass(frozen=True)
-class ExpExpr:
+class ExpExpr(Frozen):
     """Exponent expression: a plain linear form, or sym * linear + off
     with sym a valuation symbol known to be a positive integer."""
 
-    lin: Lin
-    sym: str | None = None
-    off: int = 0
+    _fields = ("lin", "sym", "off")
 
-    def __post_init__(self):
-        if self.sym is None and self.off:
-            object.__setattr__(self, "lin", self.lin + self.off)
-            object.__setattr__(self, "off", 0)
+    def __init__(self, lin: Lin, sym: str | None = None, off: int = 0):
+        if sym is None and off:
+            lin = lin + off
+            off = 0
+        object.__setattr__(self, "lin", lin)
+        object.__setattr__(self, "sym", sym)
+        object.__setattr__(self, "off", off)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.lin == other.lin and self.sym == other.sym and self.off == other.off
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lin, self.sym, self.off))
 
     @staticmethod
     def of(lin: Lin, sym: str | None = None, off: int = 0) -> "ExpExpr":
@@ -150,22 +169,42 @@ class ExpExpr:
         return f"{self.sym}*({self.lin}){tail}"
 
 
-@dataclass(frozen=True)
-class Power:
-    base: int
-    exp: ExpExpr
+class Power(Frozen):
+    _fields = ("base", "exp")
+
+    def __init__(self, base: int, exp: ExpExpr):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exp", exp)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.base == other.base and self.exp == other.exp
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.exp))
 
     def __str__(self) -> str:
         e = str(self.exp)
         return f"{self.base}^{e}" if len(e) == 1 else f"{self.base}^({e})"
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Frozen):
     """coef * prod(base ** exp) with positive integer bases."""
 
-    coef: int
-    powers: tuple[Power, ...]
+    _fields = ("coef", "powers")
+
+    def __init__(self, coef: int, powers: tuple[Power, ...]):
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "powers", powers)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coef == other.coef and self.powers == other.powers
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coef, self.powers))
 
     @staticmethod
     def of(coef: int, *powers: tuple[int, ExpExpr]) -> "Term":

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Frozen
 
 __all__ = [
     "FAMILIES",
@@ -27,8 +28,7 @@ class InvalidParameterError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(Frozen):
     """A Pythagorean triple (u, v, w).
 
     Leg order is meaningful and preserved exactly as the generating family
@@ -36,19 +36,18 @@ class Triple:
     like (1, 13, 2) versus (13, 1, 2) are not interchangeable.
     """
 
-    u: int
-    v: int
-    w: int
-    family: str = ""
-    params: tuple[int, ...] = ()
+    _fields = ("u", "v", "w", "family", "params")
 
-    def __post_init__(self):
-        if min(self.u, self.v, self.w) < 1:
+    def __init__(self, u: int, v: int, w: int, family: str = "", params: tuple[int, ...] = ()):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        if min(u, v, w) < 1:
             raise InvalidParameterError(f"triple entries must be positive: {self}")
-        if self.u * self.u + self.v * self.v != self.w * self.w:
-            raise InvalidParameterError(
-                f"({self.u}, {self.v}, {self.w}) is not a Pythagorean triple"
-            )
+        if u * u + v * v != w * w:
+            raise InvalidParameterError(f"({u}, {v}, {w}) is not a Pythagorean triple")
 
     def is_primitive(self) -> bool:
         return math.gcd(self.u, self.v) == 1 and (self.u + self.v) % 2 == 1

@@ -10,8 +10,10 @@ import pytest
 from test_certificate import HOSTILE_EDITS, HUGE_MODULUS, PROBE_CLAIM, PROBE_PATH, _hostile, _shipped, _walk
 
 import jesma
+from jesma.certificate import dumps_certificate, killing_certificate
 from jesma.cli import build_parser, main, parse_constraint, parse_terms
 from jesma.sieve import ConstraintSet
+from jesma.symbolic import ExpExpr, Lin, Term
 
 
 def run(argv, capsys):
@@ -315,6 +317,32 @@ def test_hostile_input_ends_at_once_under_python_O(tmp_path, argv_of, code, line
     output = proc.stdout if code == 1 else proc.stderr
     assert line in output and "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == (code == 2)
+
+
+@pytest.mark.parametrize("read", [0, 300], ids=["closed-at-once", "closed-after-300-bytes"])
+def test_prove_into_a_closed_pipe_ends_quietly(read):
+    """A reader that leaves early, as `| head -c 300` does, gets no traceback
+    on stderr, and the exit code is 0 or, when the write failed, 2."""
+    src = str(Path(jesma.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "jesma.cli", *PROVE_KILL], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b"" and proc.returncode in (0, 2)
+
+
+def test_verify_refuses_a_variable_named_like_an_exponent(tmp_path, capsys):
+    """2^(x+1) + 2^v - 6 = 0 (mod 4) holds at x = v = 1, so no modulus kills
+    it; with v named "x+1" the sieve took both exponents for one atom, and
+    this certificate verified.  A variable name must be an identifier."""
+    terms = [Term.of(1, (2, ExpExpr(Lin.of(1, x=1)))), Term.of(1, (2, ExpExpr(Lin.var("x+1")))), Term.of(-6)]
+    f = tmp_path / "collide.cert.json"
+    f.write_text(dumps_certificate(killing_certificate(terms, ConstraintSet.none(), 4)))
+    code, out, err = run(["verify", str(f)], capsys)
+    assert code == 1 and err == ""
+    assert "invalid at $.equation.terms[1]: " in out and "variable name 'x+1' is not an identifier" in out
 
 
 @pytest.mark.parametrize("argv", [["verify"], ["corpus", "--file"]], ids=["verify", "corpus"])

@@ -3,7 +3,6 @@ and residue reasoning against plain enumeration."""
 
 import itertools
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +17,7 @@ from jesma.certificate.context import (
 )
 from jesma.certificate.engine import _sieve_constraints
 from jesma.certificate.ineq import _lin_residues_mod
+from jesma.record import replace
 from jesma.sieve import ConstraintSet, SieveError, congruence_solutions
 from jesma.symbolic import ExpExpr, Lin, Power, Term
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -13,6 +12,7 @@ from jesma.corpus import (
     run_corpus,
     run_entry,
 )
+from jesma.record import replace
 from jesma.search import BOUND_MAX
 
 
@@ -70,14 +70,14 @@ def test_run_entry_reports_mismatch_detail():
     nagell = next(e for e in entries if e.id == "nagell-3-2-5")
     result = run_entry(nagell)
     assert result.passed and result.detail == ""
-    wrong = dataclasses.replace(nagell, expected=frozenset({(1, 1, 1)}))
+    wrong = replace(nagell, expected=frozenset({(1, 1, 1)}))
     result = run_entry(wrong)
     assert not result.passed and "(2, 4, 2)" in result.detail
 
     # a pythag k_range entry names the scale of every mismatching search
     scaled = next(e for e in entries if e.id == "deng-cohen-n1-k1-20")
     assert run_entry(scaled).passed
-    result = run_entry(dataclasses.replace(scaled, expected=frozenset()))
+    result = run_entry(replace(scaled, expected=frozenset()))
     details = result.detail.split("; ")
     assert not result.passed and len(details) == 20
     assert details[0] == "k=1: found [(2, 2, 2)] expected []"
