@@ -20,7 +20,7 @@ from functools import cached_property
 from ..arith import factorize_bounded
 from ..record import FRESH, Frozen, Record, replace
 from ..reduction import OrderingClass
-from ..sieve import RESIDUE_MODULUS_MAX, refine_residues
+from ..sieve import RESIDUE_MODULUS_MAX, merge_residue, refine_residues
 from ..symbolic import ExpExpr, Lin, Power, Term
 from ..triples import Triple
 
@@ -225,16 +225,13 @@ class Context(Frozen):
         return replace(self, equations=eqs)
 
     def with_residue(self, name: str, modulus: int, allowed) -> "Context":
-        allowed = frozenset(a % modulus for a in allowed)
-        res = dict(self.residues)
-        conflict = self.conflict
-        if name in res:
-            res[name] = refine_residues(*res[name], modulus, allowed)
-        else:
-            res[name] = (modulus, allowed)
-        if not res[name][1] and conflict is None:
-            conflict = name
-        return replace(self, residues=res, conflict=conflict)._parity_closure()
+        return self._restricted(name, modulus, allowed)._parity_closure()
+
+    def _restricted(self, name: str, modulus: int, allowed) -> "Context":
+        # the first name whose residues run out is the branch's conflict
+        res = merge_residue(self.residues, name, modulus, allowed)
+        conflict = name if self.conflict is None and not res[name][1] else self.conflict
+        return replace(self, residues=res, conflict=conflict)
 
     def with_syms(self, syms) -> "Context":
         return replace(self, syms=tuple(dict.fromkeys(self.syms + tuple(syms))))
@@ -369,15 +366,7 @@ class Context(Frozen):
         ctx = self
         for name, e in self.atom_registry().items():
             if ctx.parity_of_lin(e.lin) == 0 and ctx.parity_of_name(name) != 0:
-                res = dict(ctx.residues)
-                if name in res:
-                    res[name] = refine_residues(*res[name], 2, {0})
-                else:
-                    res[name] = (2, frozenset({0}))
-                conflict = ctx.conflict
-                if not res[name][1] and conflict is None:
-                    conflict = name
-                ctx = replace(ctx, residues=res, conflict=conflict)
+                ctx = ctx._restricted(name, 2, {0})
         return ctx
 
     # -- substitution --------------------------------------------------------------

@@ -15,7 +15,7 @@ from collections.abc import Mapping
 
 from ..arith import FactoringLimitError, factorize_bounded
 from ..record import Frozen, replace
-from ..reduction import OrderingClass, factor_k_symbolic
+from ..reduction import OrderingClass, factor_k_symbolic, isolated_base
 from ..sieve import ConstraintSet, SieveError, congruence_solutions
 from ..symbolic import ExpExpr, Lin, Power, Term, term_product
 from ..triples import Triple
@@ -32,13 +32,6 @@ from .model import (
 )
 
 __all__ = ["Verdict", "verify_certificate", "verify_inequality_step"]
-
-_ORDERING_FACTS = {
-    OrderingClass.CASE_1_1: (("x", "z"), ("y", "x")),  # pairs (a, b): a >= b + 1
-    OrderingClass.CASE_1_2: (("z", "x"), ("y", "z")),
-    OrderingClass.CASE_2_1: (("y", "z"), ("x", "y")),
-    OrderingClass.CASE_2_2: (("z", "y"), ("x", "z")),
-}
 
 _ALL_CLASSES = [c.value for c in OrderingClass]
 
@@ -110,8 +103,8 @@ def _initial_context(cert: Certificate) -> Context:
             if not cls.is_strict():
                 raise MalformedCertificateError("$.equation", "scoped ordering must be strict")
             ctx = replace(ctx, ordering=cls)
-            for a, b in _ORDERING_FACTS[cls]:
-                ctx = ctx.with_fact(Lin.var(a) - Lin.var(b) - 1)
+            for fact in _ordering_facts(cls):
+                ctx = ctx.with_fact(fact)
         return ctx
     if form == "congruence":
         terms = terms_from_json(eq.get("terms", []), "$.equation.terms")
@@ -180,10 +173,19 @@ def _apply_ordering_split(step: dict, ctx: Context, path: str, n_children: int):
     for case in cases:
         cls = OrderingClass(case)
         child = replace(ctx, ordering=cls)  # only the root splits orderings: ctx is the initial context
-        for a, b in _ORDERING_FACTS.get(cls, ()):
-            child = child.with_fact(Lin.var(a) - Lin.var(b) - 1)
+        for fact in _ordering_facts(cls):
+            child = child.with_fact(fact)
         out.append(child)
     return out
+
+
+def _ordering_facts(cls: OrderingClass) -> tuple[Lin, ...]:
+    """e2 - e1 - 1 >= 0 and e3 - e2 - 1 >= 0 for the exponents e1 < e2 < e3
+    of a strict class; a class that is not strict gives no facts."""
+    if not cls.is_strict():
+        return ()
+    e1, e2, e3 = cls.ascending()
+    return (Lin.var(e2) - Lin.var(e1) - 1, Lin.var(e3) - Lin.var(e2) - 1)
 
 
 def _apply_valuation_split(step: dict, ctx: Context, path: str, n_children: int):
@@ -191,9 +193,7 @@ def _apply_valuation_split(step: dict, ctx: Context, path: str, n_children: int)
         raise _Invalid(path, "valuation split needs a strict ordering context")
     if ctx.pattern is not None:
         raise _Invalid(path, "k already factored in this branch")
-    e1 = {"case-1-1": "z", "case-1-2": "x", "case-2-1": "z", "case-2-2": "y"}[ctx.ordering.value]
-    base = {"x": ctx.triple.u, "y": ctx.triple.v, "z": ctx.triple.w}[e1]
-    primes = sorted(factorize_bounded(base).primes())
+    primes = sorted(factorize_bounded(isolated_base(ctx.triple, ctx.ordering)).primes())
     declared = [sorted(int(p) for p in case) for case in step.get("cases", [])]
     expected = []
     for mask in range(1 << len(primes)):
@@ -317,8 +317,10 @@ class _ProvenBounds(Mapping):
     read-only mapping that proves a name's bound the first time it is read.
 
     The entries are those that proving every exponent's bound in term order
-    gave: a bound counts when it is above the name's fixed value, or, for a
-    name not fixed, above 1 and above the bounds counted before it.
+    gave: a bound counts when it is at least 1 and above the name's fixed
+    value, or, for a name not fixed, above 1 and above the bounds counted
+    before it.  A name with no counted bound is left to the sieve's own
+    default, as in the sieve run that found the kill.
     """
 
     def __init__(self, ctx: Context, terms, cap: int):
@@ -340,7 +342,7 @@ class _ProvenBounds(Mapping):
         for bare in self._bare.get(name, ()):
             lb = self._ctx.exp_lower_bound(bare, self._cap)
             floor = self._ctx.fixed[name] if name in self._ctx.fixed else bound or 1
-            if lb > floor:
+            if lb > max(floor, 0):  # a 0 from exp_lower_bound proves nothing
                 bound = lb
         return bound
 

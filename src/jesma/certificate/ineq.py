@@ -85,6 +85,8 @@ def claim_from_json(obj: dict, path: str = "ineq") -> IneqClaim:
             ctx_rhs=terms_from_json(obj.get("ctx_rhs", obj["rhs"]), path),
             strict=bool(obj["strict"]),
         )
+    except MalformedCertificateError:  # an inner field's error already names its path
+        raise
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise MalformedCertificateError(path, f"bad inequality claim: {e}")
 

@@ -98,6 +98,8 @@ def term_from_json(obj: dict, path: str = "term") -> Term:
         powers = tuple(
             Power(int(p["base"]), exp_from_json(p["exp"], path)) for p in obj.get("powers", [])
         )
+    except MalformedCertificateError:  # an inner field's error already names its path
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedCertificateError(path, f"bad term: {e}")
     return Term(coef, powers)

@@ -27,6 +27,7 @@ __all__ = [
     "le_theorem_check",
     "factor_k",
     "factor_k_symbolic",
+    "isolated_base",
     "DEFAULT_SYMBOLS",
 ]
 
@@ -46,6 +47,10 @@ class OrderingClass(Enum):
 
     def is_strict(self) -> bool:
         return self in _STRICT_ORDER
+
+    def ascending(self) -> tuple[str, str, str]:
+        """The exponent names from smallest to largest (strict classes only)."""
+        return _STRICT_ORDER[self]
 
 
 # exponent names sorted ascending for each strict class
@@ -171,22 +176,29 @@ class KFactoredForm(Frozen):
         object.__setattr__(self, "contradiction", contradiction)
 
     def exponents_ascending(self) -> tuple[str, str, str]:
-        return _STRICT_ORDER[self.ordering]
+        return self.ordering.ascending()
 
 
 DEFAULT_SYMBOLS = {2: "r", 3: "r", 5: "s", 11: "q", 101: "s"}
 
-_BASE_OF = {"x": "u", "y": "v", "z": "w"}
 _SIGN_OF = {"x": 1, "y": 1, "z": -1}
 
 
+def _base(t: Triple, exponent: str) -> int:
+    return {"x": t.u, "y": t.v, "z": t.w}[exponent]
+
+
+def isolated_base(t: Triple, ordering: OrderingClass) -> int:
+    """B1, the base under the smallest exponent of a strict ordering."""
+    return _base(t, ordering.ascending()[0])
+
+
 def _arrangement(t: Triple, ordering: OrderingClass):
-    e1, e2, e3 = _STRICT_ORDER[ordering]
-    b = {"x": t.u, "y": t.v, "z": t.w}
+    e1, e2, e3 = ordering.ascending()
     # bracket = B2^e2 + sigma * B3^e3 * k^(e3-e2); sigma is +1 exactly when
     # the two larger exponents sit on the legs (B1 = W), else -1.
     sigma = 1 if _SIGN_OF[e2] == _SIGN_OF[e3] else -1
-    return e1, e2, e3, b[e1], b[e2], b[e3], sigma
+    return e1, e2, e3, _base(t, e1), _base(t, e2), _base(t, e3), sigma
 
 
 def _factor_k_core(
@@ -277,8 +289,7 @@ def factor_k(t: Triple, k: int, ordering: OrderingClass) -> KFactoredForm:
         raise ReductionError(f"k-factoring applies to strict orderings, not {ordering.value}")
     if k < 1:
         raise ReductionError(f"k must be >= 1, got {k}")
-    e1 = _STRICT_ORDER[ordering][0]
-    b1 = {"x": t.u, "y": t.v, "z": t.w}[e1]
+    b1 = isolated_base(t, ordering)
     all_vals: dict[int, int | str] = {}
     rest = k
     for p in factorize(t.u * t.v * t.w).primes():
@@ -305,8 +316,7 @@ def factor_k_symbolic(
     to that base.  An empty pattern is the gcd(k, B1) = 1 branch."""
     if not ordering.is_strict():
         raise ReductionError(f"k-factoring applies to strict orderings, not {ordering.value}")
-    e1 = _STRICT_ORDER[ordering][0]
-    b1 = {"x": t.u, "y": t.v, "z": t.w}[e1]
+    b1 = isolated_base(t, ordering)
     b1_primes = set(factorize(b1).primes())
     if not pattern <= b1_primes:
         raise ReductionError(f"pattern {pattern} not within primes {b1_primes} of base {b1}")

@@ -1,14 +1,15 @@
 """Exponential congruence engine.
 
-Solves congruences  sum_i c_i * prod_j b_ij ** e_ij  == 0 (mod m)  exactly,
-where each exponent is a linear form in integer variables or a valuation
-symbol times such a form.  Every variable's residue is periodic modulo the
+Solves  sum_i c_i * prod_j b_ij ** e_ij  == 0 (mod m)  exactly, where each
+exponent is a linear form in integer variables or a valuation symbol times
+such a form.  Every variable's residue is periodic modulo the
 multiplicative order of the bases it feeds, so the full solution set lives
 on a finite torus, which is enumerated exactly: independent groups of
 variables as separate partial sums, joined by residue.  A "killing
 modulus" is an m whose torus holds no solutions under the given
-constraints: it certifies that the original equation has no integer
-solutions satisfying them.
+constraints (residue classes, fixed values and lower bounds, the ones a
+certificate can state): it certifies that the original equation has no
+integer solutions satisfying them.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "find_killing_modulus",
     "KillingWitness",
     "refine_residues",
+    "merge_residue",
 ]
 
 TORUS_CELL_LIMIT = 4_000_000
@@ -77,8 +79,20 @@ def refine_residues(m0: int, s0, m: int, allowed) -> tuple[int, frozenset]:
     return m1, frozenset(a for a in range(m1) if a % m0 in s0 and a % m in allowed)
 
 
+def merge_residue(residues: Mapping, name: str, modulus: int, allowed) -> dict:
+    """A copy of residues (name -> (modulus, allowed residues)) in which name
+    is also restricted to allowed (mod modulus): refined when name is known,
+    stored as given, without listing any residue, when it is new.
+
+    Raises ValueError as refine_residues does."""
+    allowed = frozenset(a % modulus for a in allowed)
+    merged = dict(residues)
+    merged[name] = refine_residues(*merged[name], modulus, allowed) if name in merged else (modulus, allowed)
+    return merged
+
+
 class ConstraintSet(Frozen):
-    """Per-variable residue constraints plus exact linear congruences.
+    """What a certificate's constraints can state about the exponents.
 
     residues maps a variable (or exponent-atom name) to (modulus, allowed
     residue set); fixed pins a variable to one value; lower_bounds record
@@ -87,19 +101,17 @@ class ConstraintSet(Frozen):
     mapping left out is a new empty dict.
     """
 
-    _fields = ("residues", "fixed", "lower_bounds", "congruences")
+    _fields = ("residues", "fixed", "lower_bounds")
 
     def __init__(
         self,
         residues: dict[str, tuple[int, frozenset[int]]] = FRESH,
         fixed: dict[str, int] = FRESH,
         lower_bounds: Mapping[str, int] = FRESH,
-        congruences: tuple[tuple[Lin, int], ...] = (),
     ):
         object.__setattr__(self, "residues", {} if residues is FRESH else residues)
         object.__setattr__(self, "fixed", {} if fixed is FRESH else fixed)
         object.__setattr__(self, "lower_bounds", {} if lower_bounds is FRESH else lower_bounds)
-        object.__setattr__(self, "congruences", congruences)
 
     @staticmethod
     def none() -> "ConstraintSet":
@@ -116,25 +128,16 @@ class ConstraintSet(Frozen):
     def with_residue(self, name: str, modulus: int, allowed: set[int]) -> "ConstraintSet":
         if modulus < 2:
             raise SieveError(f"constraint modulus must be >= 2, got {modulus}")
-        allowed = {a % modulus for a in allowed}
-        merged = dict(self.residues)
-        if name in merged:
-            try:
-                merged[name] = refine_residues(*merged[name], modulus, allowed)
-            except ValueError as e:
-                raise SieveError(f"constraints on {name}: {e}") from None
-        else:
-            merged[name] = (modulus, frozenset(allowed))
-        return replace(self, residues=merged)
+        try:
+            return replace(self, residues=merge_residue(self.residues, name, modulus, allowed))
+        except ValueError as e:
+            raise SieveError(f"constraints on {name}: {e}") from None
 
     def with_parity(self, name: str, parity: int) -> "ConstraintSet":
         return self.with_residue(name, 2, {parity % 2})
 
     def with_lower_bound(self, name: str, bound: int) -> "ConstraintSet":
         return replace(self, lower_bounds={**self.lower_bounds, name: bound})
-
-    def with_congruence(self, lin: Lin, modulus: int) -> "ConstraintSet":
-        return replace(self, congruences=self.congruences + ((lin, modulus),))
 
     def residue_allows(self, name: str, value: int) -> bool:
         if name in self.residues:
@@ -283,10 +286,6 @@ def _build_plan(
     for name, (cm, _) in constraints.residues.items():
         if name in moduli:
             moduli[name] = math.lcm(moduli[name], cm)
-    for lin, cm in constraints.congruences:
-        for v, _ in lin.coeffs:
-            if v in moduli:
-                moduli[v] = math.lcm(moduli[v], cm)
     plan = sorted(moduli.items())
     cells = 1
     for _, period in plan:
@@ -310,11 +309,11 @@ def congruence_solutions(
     keeps emptiness results sound.
 
     The torus is not walked cell by cell.  Its variables are split into
-    a stored and a streamed side that no term or congruence spans
-    (_split_torus); the stored side's partial sums are tabulated by
-    residue, and each streamed cell with partial sum r meets exactly the
-    stored cells with residue -(offset + r) mod m, a meet in the middle
-    in the manner of baby-step giant-step.
+    a stored and a streamed side that no term spans (_split_torus); the
+    stored side's partial sums are tabulated by residue, and each streamed
+    cell with partial sum r meets exactly the stored cells with residue
+    -(offset + r) mod m, a meet in the middle in the manner of baby-step
+    giant-step.
     """
     names, periods, cells = _solve(terms, m, constraints, order_cap)
     return ResidueClassSet(m, names, periods, frozenset(cells))
@@ -371,45 +370,37 @@ def _survivors(
         else:
             opts = [v for v in range(period) if constraints.residue_allows(name, v)]
         candidates.append(opts)
-
-    relevant_congruences = [
-        (lin, cm) for lin, cm in constraints.congruences if lin.variables() <= set(names)
-    ]
     offset, compiled = _compile_terms(live, names, periods, m)
-    stored_side, streamed_side = _split_torus(names, candidates, compiled, relevant_congruences)
+    stored_side, streamed_side = _split_torus(candidates, compiled)
     stored: dict[int, list[tuple[int, ...]]] = {}
-    for total, part in _side_sums(stored_side, names, candidates, compiled, relevant_congruences):
+    for total, part in _side_sums(stored_side, candidates, compiled):
         stored.setdefault(total % m, []).append(part)
     # position in (stored values + streamed values) of each variable of names
     at = {i: k for k, i in enumerate(stored_side + streamed_side)}
     order = [at[i] for i in range(len(names))]
-    for total, part in _side_sums(streamed_side, names, candidates, compiled, relevant_congruences):
+    for total, part in _side_sums(streamed_side, candidates, compiled):
         for head in stored.get((-offset - total) % m, ()):
             cell = head + part
             yield tuple([cell[k] for k in order])
 
 
 def _split_torus(
-    names: tuple[str, ...],
     candidates: list[list[int]],
     compiled: list[tuple[int, list[tuple[int, list[int]]]]],
-    congruences: list[tuple[Lin, int]],
 ) -> tuple[list[int], list[int]]:
     """Split the torus variables (by index) into a stored and a streamed side.
 
-    Variables fall into one group when a compiled term or a linear
-    congruence uses both, so no term or congruence spans two groups: the
-    sum of the terms splits into one partial sum per side, and each
-    congruence is checked on one side.  The smallest groups go to the
-    stored side while its cell count squared stays within the torus's,
-    which keeps the stored side at most the square root of the torus;
-    the other groups are streamed.
+    Variables fall into one group when a compiled term uses both, so no
+    term spans two groups and the sum of the terms splits into one partial
+    sum per side.  The smallest groups go to the stored side while its
+    cell count squared stays within the torus's, which keeps the stored
+    side at most the square root of the torus; the other groups are
+    streamed.
     """
-    index = {name: i for i, name in enumerate(names)}
-    links = [{i for i, _ in tables} for _, tables in compiled]
-    links += [{index[v] for v in lin.variables()} for lin, _ in congruences]
-    groups = [{i} for i in range(len(names))]
-    for link in links:
+    n = len(candidates)
+    groups = [{i} for i in range(n)]
+    for _, tables in compiled:
+        link = {i for i, _ in tables}
         touched = [g for g in groups if not g.isdisjoint(link)]
         if touched:
             groups = [g for g in groups if g.isdisjoint(link)] + [set().union(*touched)]
@@ -422,34 +413,26 @@ def _split_torus(
             break
         stored += group
         stored_cells *= size
-    return stored, [i for i in range(len(names)) if i not in stored]
+    return stored, [i for i in range(n) if i not in stored]
 
 
 def _side_sums(
     side: list[int],
-    names: tuple[str, ...],
     candidates: list[list[int]],
     compiled: list[tuple[int, list[tuple[int, list[int]]]]],
-    congruences: list[tuple[Lin, int]],
 ):
     """Yield (partial sum, values) for each cell of the sub-torus on the
     variables at the indices in side: the sum, not yet reduced mod m, of
     the compiled terms on those variables, and the cell's values in side
-    order.  Cells failing a congruence on those variables are left out.
+    order.
     """
     at = {i: k for k, i in enumerate(side)}
-    side_names = [names[i] for i in side]
     terms = [
         (coef, [(at[i], table) for i, table in tables])
         for coef, tables in compiled
         if tables[0][0] in at
     ]
-    checks = [(lin, cm) for lin, cm in congruences if lin.variables() <= set(side_names)]
     for combo in iproduct(*(candidates[i] for i in side)):
-        if checks:
-            values = dict(zip(side_names, combo))
-            if any(lin.evaluate(values) % cm != 0 for lin, cm in checks):
-                continue
         # exact products of table entries, reduced once per cell
         total = 0
         for t, tables in terms:

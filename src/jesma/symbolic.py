@@ -12,6 +12,7 @@ identities, substitute variables, and evaluate exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .record import Frozen
@@ -265,23 +266,6 @@ class Term(Frozen):
 
 
 def term_product(terms: list[Term]) -> Term:
-    """Merge a product of terms into one, combining equal (base, exp) pairs."""
-    coef = 1
-    acc: dict[tuple, tuple[int, ExpExpr, int]] = {}
-    for t in terms:
-        coef *= t.coef
-        for p in t.powers:
-            k = (p.base, p.exp.key())
-            if k in acc:
-                b, e, n = acc[k]
-                acc[k] = (b, e, n + 1)
-            else:
-                acc[k] = (p.base, p.exp, 1)
-    powers = []
-    for b, e, n in acc.values():
-        if n == 1:
-            powers.append(Power(b, e))
-        else:
-            lin = e.lin * n
-            powers.append(Power(b, ExpExpr(lin, e.sym)))
-    return Term(coef, tuple(powers))
+    """The product of the terms as one term: the product of the
+    coefficients, with every power kept as it is."""
+    return Term(math.prod(t.coef for t in terms), tuple(p for t in terms for p in t.powers))

@@ -21,7 +21,7 @@ from jesma.certificate import (
 )
 from jesma.certificate import context
 from jesma.certificate.context import Context
-from jesma.certificate.ineq import IneqClaim
+from jesma.certificate.ineq import IneqClaim, claim_from_json
 from jesma.certificate.model import MAX_TREE_DEPTH, Node, terms_to_json
 from jesma.cli import main
 from jesma.search import find_solutions_scaled
@@ -289,6 +289,14 @@ def test_inequality_step_malformed_claim(field):
     claim[field] = []
     ok, reason = verify_inequality_step(claim)
     assert not ok and reason.startswith("bad inequality claim")
+
+
+def test_inner_field_error_names_its_path_once():
+    claim = _slack_claim()
+    claim["ctx_lhs"][0]["powers"][0]["exp"]["lin"]["c"] = {"x+1": "1"}
+    with pytest.raises(MalformedCertificateError) as e:
+        claim_from_json(claim, "$.p")
+    assert str(e.value) == "$.p[0]: variable name 'x+1' is not an identifier"
 
 
 def test_inequality_step_false_base():

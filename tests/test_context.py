@@ -151,7 +151,8 @@ def _eager_sieve_constraints(ctx: Context, terms, m: int) -> ConstraintSet:
             bare = ExpExpr(p.exp.lin, p.exp.sym)
             name = bare.atom_name()
             lb = ctx.exp_lower_bound(bare, cap)
-            if lb > cons.lower_bound(name):
+            # 0 proves nothing, also under a negative fixed value
+            if lb > max(cons.lower_bound(name), 0):
                 cons = cons.with_lower_bound(name, lb)
     return cons
 

@@ -12,7 +12,13 @@ comparing.  A case marked "argparse" is an error that argparse reports
 itself; its usage text differs between Python versions, so only its exit
 code and its empty stdout are recorded.
 
-To record the transcripts again, run from the root of the repository
+To check the transcripts without pytest, for instance with assertions
+stripped, run from the root of the repository
+
+    PYTHONPATH=src python -O tests/test_golden.py --check
+
+which lists every mismatch and exits 1 if there is one.  To record the
+transcripts again, run
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -128,6 +134,16 @@ def test_golden_transcripts_twice_in_one_process(tmp_path):
         assert not problems, f"{run} pass:\n" + "\n".join(problems)
 
 
+def check() -> int:
+    want = json.loads(TRANSCRIPTS.read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory() as tmp:
+        problems = _mismatches(run_all(Path(tmp)), want)
+    for problem in problems:
+        print(problem)
+    print(f"{len(problems)} of {len(want)} transcripts differ")
+    return 1 if problems else 0
+
+
 def record() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         transcripts = run_all(Path(tmp))
@@ -136,6 +152,8 @@ def record() -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     if sys.argv[1:] != ["--record"]:
-        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --record")
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --check | --record")
     record()

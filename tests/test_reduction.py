@@ -9,6 +9,7 @@ from jesma.reduction import (
     deng_cohen_filter,
     factor_k,
     factor_k_symbolic,
+    isolated_base,
     le_theorem_check,
     miyazaki_parity_check,
 )
@@ -37,6 +38,18 @@ def test_classification_is_total_and_disjoint():
     # strict classes are symmetric: each holds C(6,3) = 20 points of the cube
     for c in (OrderingClass.CASE_1_1, OrderingClass.CASE_1_2, OrderingClass.CASE_2_1, OrderingClass.CASE_2_2):
         assert counts[c] == 20
+
+
+def test_ascending_order_agrees_with_classification():
+    """Each strict class lists its exponents in the order of every point it
+    classifies, and isolates the base under the smallest of them."""
+    for sol in product(range(1, 6), repeat=3):
+        cls = classify_ordering(sol)
+        if not cls.is_strict():
+            continue
+        values = dict(zip("xyz", sol))
+        assert cls.ascending() == tuple(sorted("xyz", key=values.get))
+        assert isolated_base(T, cls) == dict(zip("xyz", (T.u, T.v, T.w)))[cls.ascending()[0]]
 
 
 def test_deng_cohen_filter():

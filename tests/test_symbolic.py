@@ -35,6 +35,11 @@ def test_term_evaluate_and_product():
     prod = term_product([t, Term.of(3, (3, ExpExpr(Lin.var("x"))))])
     assert prod.coef == 6
     assert prod.evaluate({"x": 1, "y": 2}) == 6 * 9 * 25
+    # a repeated symbol-scaled power keeps its offset: (2^(s*x+1))^2 = 16 at x = s = 1
+    u = Term.of(1, (2, ExpExpr(Lin.var("x"), "s", 1)))
+    square = term_product([u, u])
+    for values in ({"x": 1, "s": 1}, {"x": 2, "s": 3}):
+        assert square.evaluate(values) == u.evaluate(values) ** 2
 
 
 def test_term_rejects_negative_exponent_value():
