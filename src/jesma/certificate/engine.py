@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from ..arith import FactoringLimitError, factorize_bounded
 from ..record import Frozen, replace
 from ..reduction import OrderingClass, factor_k_symbolic, isolated_base
-from ..sieve import ConstraintSet, SieveError, congruence_solutions
+from ..sieve import ConstraintSet, SieveError, congruence_fold
 from ..symbolic import ExpExpr, Lin, Power, Term, term_product
 from ..triples import Triple
 from .context import Context, DivisibilityFact, ProvenInequality, refine_residues
@@ -259,8 +259,8 @@ def _apply_substitute(step: dict, ctx: Context, path: str, n_children: int):
 
 
 def _apply_congruence(step: dict, ctx: Context, path: str, n_children: int):
-    rcs = _enumerate_congruence(step, ctx, path)
-    if rcs.is_empty():
+    fold = _fold_congruence(step, ctx, path)
+    if fold.is_empty():
         raise _Invalid(path, "congruence has no solutions: use a contradiction step")
     derived = step.get("derive", [])
     if not derived:
@@ -269,12 +269,12 @@ def _apply_congruence(step: dict, ctx: Context, path: str, n_children: int):
         name = ent.get("name")
         dm = int(ent["modulus"])
         ds = frozenset(int(r) % dm for r in ent["residues"])
-        if name not in rcs.variables:
+        if name not in fold.variables:
             raise _Invalid(path, f"derive[{i}]: {name} is not enumerated by this congruence")
-        period = rcs.period_of(name)
+        period = fold.period_of(name)
         if period % dm != 0:
             raise _Invalid(path, f"derive[{i}]: modulus {dm} does not divide the period {period}")
-        projection = rcs.project(name)
+        projection = fold.project(name)
         pullback = frozenset(a for a in range(period) if a % dm in ds)
         if pullback != projection:
             raise _Invalid(
@@ -286,7 +286,7 @@ def _apply_congruence(step: dict, ctx: Context, path: str, n_children: int):
     return [ctx]
 
 
-def _enumerate_congruence(step: dict, ctx: Context, path: str):
+def _fold_congruence(step: dict, ctx: Context, path: str):
     eq_id = step.get("eq", "main")
     if eq_id not in ctx.equations:
         raise _Invalid(path, f"unknown equation {eq_id!r}")
@@ -295,7 +295,7 @@ def _enumerate_congruence(step: dict, ctx: Context, path: str):
     terms = list(lhs) + [t.scaled(-1) for t in rhs]
     cons = _sieve_constraints(ctx, terms, m)
     try:
-        return congruence_solutions(terms, m, cons, order_cap=2000)
+        return congruence_fold(terms, m, cons, order_cap=2000)
     except SieveError as e:  # a modulus the sieve cannot check is no proof, not a malformed payload
         raise _Invalid(path, f"congruence not checkable: {e}")
 
@@ -318,9 +318,10 @@ class _ProvenBounds(Mapping):
 
     The entries are those that proving every exponent's bound in term order
     gave: a bound counts when it is at least 1 and above the name's fixed
-    value, or, for a name not fixed, above 1 and above the bounds counted
+    value, or, for a name not fixed, at least 1 and above the bounds counted
     before it.  A name with no counted bound is left to the sieve's own
-    default, as in the sieve run that found the kill.
+    default, as in the sieve run that found the kill: 1 for a variable,
+    and 0 for an exponent whose linear part it cannot bound.
     """
 
     def __init__(self, ctx: Context, terms, cap: int):
@@ -341,7 +342,7 @@ class _ProvenBounds(Mapping):
         bound = None
         for bare in self._bare.get(name, ()):
             lb = self._ctx.exp_lower_bound(bare, self._cap)
-            floor = self._ctx.fixed[name] if name in self._ctx.fixed else bound or 1
+            floor = self._ctx.fixed[name] if name in self._ctx.fixed else bound or 0
             if lb > max(floor, 0):  # a 0 from exp_lower_bound proves nothing
                 bound = lb
         return bound
@@ -617,12 +618,12 @@ def _contr_lemma_distinct(step: dict, ctx: Context, path: str) -> None:
 
 
 def _contr_empty_congruence(step: dict, ctx: Context, path: str) -> None:
-    rcs = _enumerate_congruence(step, ctx, path)
-    if not rcs.is_empty():
+    fold = _fold_congruence(step, ctx, path)
+    if not fold.is_empty():
         raise _Invalid(
             path,
-            f"congruence mod {rcs.modulus} still has {len(rcs)} solution classes, e.g. "
-            f"{dict(zip(rcs.variables, sorted(rcs.tuples)[0]))}",
+            f"congruence mod {fold.modulus} still has {len(fold)} solution classes, e.g. "
+            f"{dict(zip(fold.variables, fold.first()))}",
         )
 
 

@@ -1,6 +1,7 @@
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from hypothesis import settings
 
 POOL_MODULES = ("jesma.search", "jesma.corpus")
 
@@ -33,3 +34,9 @@ def force_pool(monkeypatch):
     for module in POOL_MODULES:
         monkeypatch.setattr(f"{module}.ProcessPoolExecutor", Recorded)
     return started
+
+
+# The fold-vs-join property tests of test_sieve.py set no max_examples, so
+# tier-1 runs hypothesis's default 100 examples each; CI runs them at ten
+# times that with `pytest --hypothesis-profile=fold-ci -k fold_matches_join`.
+settings.register_profile("fold-ci", max_examples=1_000)

@@ -249,6 +249,56 @@ def test_subcase_mutations_all_invalid():
     assert count >= 10
 
 
+@pytest.mark.parametrize(
+    "name, mutate, path, reason",
+    [
+        (
+            "mod17_kill",
+            lambda o: _walk(o, ["tree", "step"]).update(modulus="19"),
+            "$.tree",
+            "congruence mod 19 still has 648 solution classes, e.g. {'a': 0, 'b': 0, 'y': 1, 'z': 14}",
+        ),
+        (
+            "theorem_20_99_101",
+            lambda o: _walk(o, ["tree", "children", 4, "children", 3, "children", 0, "step", "derive", 0]).update(
+                residues=["1"]
+            ),
+            "$.tree.children[4].children[3].children[0]",
+            "derive[0]: declared classes [1] (mod 2) do not equal the projection [0] (mod 2)",
+        ),
+    ],
+    ids=["mod17-modulus-to-19", "theorem-flip-derived-parity"],
+)
+def test_congruence_rejection_reason_is_pinned(name, mutate, path, reason):
+    # the class count and first class of a leaf that is not empty, and the
+    # projection a derive step is checked against, to the character
+    obj = _shipped(name)
+    mutate(obj)
+    verdict = verify_certificate(Certificate.from_json(obj))
+    assert (verdict.valid, verdict.path, verdict.reason) == (False, path, reason)
+
+
+# 2^(y - x) == 1 (mod 2) at x = y = 1: the term is 2^0 = 1, which does not
+# vanish mod 2, so no bound on y - x may be assumed beyond the domain's 0
+_NEGATIVE_EXPONENT_KILL = [Term.of(1, (2, ExpExpr(Lin.of(0, x=-1, y=1)))), Term.of(-1)]
+_NEGATIVE_EXPONENT_REASON = "congruence not checkable: term 2^(-x+y) has a non-unit base modulo 2 and does not vanish"
+
+
+def test_kill_of_a_solvable_congruence_is_rejected():
+    cert = killing_certificate(_NEGATIVE_EXPONENT_KILL, ConstraintSet.none(), 2)
+    verdict = verify_certificate(loads_certificate(dumps_certificate(cert)))
+    assert (verdict.valid, verdict.path, verdict.reason) == (False, "$.tree", _NEGATIVE_EXPONENT_REASON)
+
+
+def test_cli_rejects_the_kill_of_a_solvable_congruence(tmp_path, capsys):
+    f = tmp_path / "neg.cert.json"
+    f.write_text(dumps_certificate(killing_certificate(_NEGATIVE_EXPONENT_KILL, ConstraintSet.none(), 2)))
+    assert main(["verify", str(f)]) == 1
+    out, _ = capsys.readouterr()
+    verdicts = [line.strip() for line in out.splitlines() if "invalid" in line]
+    assert len(verdicts) == 1 and verdicts[0].startswith(f"invalid at $.tree: {_NEGATIVE_EXPONENT_REASON}  (")
+
+
 def test_certificate_agrees_with_search():
     """Sampled soundness: the certified statement holds for concrete k."""
     t = Triple(20, 99, 101)

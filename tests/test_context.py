@@ -151,8 +151,10 @@ def _eager_sieve_constraints(ctx: Context, terms, m: int) -> ConstraintSet:
             bare = ExpExpr(p.exp.lin, p.exp.sym)
             name = bare.atom_name()
             lb = ctx.exp_lower_bound(bare, cap)
-            # 0 proves nothing, also under a negative fixed value
-            if lb > max(cons.lower_bound(name), 0):
+            # 0 proves nothing, also under a negative fixed value; any bound
+            # >= 1 counts, since an exponent the sieve cannot bound gets 0
+            floor = cons.fixed[name] if name in cons.fixed else cons.lower_bounds.get(name, 0)
+            if lb > max(floor, 0):
                 cons = cons.with_lower_bound(name, lb)
     return cons
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -14,6 +15,7 @@ from jesma.sieve import (
     SieveError,
     TorusTooLargeError,
     UnsupportedModulusError,
+    congruence_fold,
     congruence_solutions,
     find_killing_modulus,
     has_solution,
@@ -533,6 +535,77 @@ def test_has_solution_matches_full_enumeration(terms, m, ops, order_cap, contrad
 )
 def test_has_solution_matches_full_enumeration_on_grouped_tori(terms, m, ops, order_cap, contradict):
     _check_has_solution(terms, m, ops, order_cap, contradict)
+
+
+def _check_fold(terms, m, ops, order_cap):
+    cons = ConstraintSet.none()
+    for op in ops:
+        cons = _apply(cons, op)
+    with mock.patch.object(sieve, "TORUS_CELL_LIMIT", 20_000):
+        rcs = _outcome(congruence_solutions, terms, m, cons, order_cap)
+        fold = _outcome(congruence_fold, terms, m, cons, order_cap)
+    if not isinstance(rcs, ResidueClassSet):
+        assert fold == rcs  # the same error type and message
+        return
+    assert (fold.modulus, fold.variables, fold.periods) == (rcs.modulus, rcs.variables, rcs.periods)
+    assert fold.is_empty() is rcs.is_empty()
+    assert len(fold) == len(rcs)
+    for name in rcs.variables:
+        assert fold.project(name) == rcs.project(name), name
+    assert fold.first() == (min(rcs.tuples) if rcs.tuples else None)
+
+
+# no max_examples: tier-1 runs hypothesis's default 100 each, and the
+# "fold-ci" profile of conftest.py ten times as many
+@settings(deadline=None)
+@given(
+    terms_st,
+    st.one_of(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]), st.integers(0, 40)),
+    st.lists(constraint_ops, max_size=3),
+    st.sampled_from([None, 6, 12]),
+)
+def test_fold_matches_join(terms, m, ops, order_cap):
+    """The fold answers emptiness, every projection, the class count and
+    the first class as the joined cells do, or raises the same error."""
+    _check_fold(terms, m, ops, order_cap)
+
+
+@settings(deadline=None)
+@given(
+    grouped_terms_st,
+    st.one_of(st.sampled_from([3, 5, 7, 9, 11, 13, 17]), st.integers(2, 24)),
+    st.lists(grouped_constraint_ops, max_size=3),
+    st.sampled_from([None, 6, 12]),
+)
+def test_fold_matches_join_on_grouped_tori(terms, m, ops, order_cap):
+    _check_fold(terms, m, ops, order_cap)
+
+
+def test_fold_reads_no_torus_cell_of_a_monomial_group():
+    # the mod 17 kill: z against the monomial 99^y*2^a*5^b, which folds as
+    # a product set; only a group of several terms enumerates its cells
+    cons = ConstraintSet.none().with_parity("z", 0)
+    with mock.patch.object(sieve, "_side_sums", side_effect=AssertionError("cells enumerated")):
+        fold = congruence_fold(KILL_TERMS, 17, cons)
+        assert fold.is_empty() and fold.first() is None and fold.project("y") == frozenset()
+        fold = congruence_fold(KILL_TERMS, 19, cons)
+        assert len(fold) == 648 and fold.first() == (0, 0, 1, 14)
+
+
+def test_fold_streams_its_largest_group():
+    # 2^x - 2^(x+y) vanishes mod 383521 only at y = 0 mod 272, the order of
+    # 2, so odd y leaves none: the one group (x, y) of 36,992 cells reaches
+    # 18,496 residues, which the emptiness check meets cell by cell rather
+    # than holding (as a set they take about 1 MB)
+    terms = [Term.of(1, (2, v("x"))), Term.of(-1, (2, ExpExpr(Lin.of(0, x=1, y=1))))]
+    fold = congruence_fold(terms, 383521, ConstraintSet.none().with_parity("y", 1))
+    tracemalloc.start()
+    try:
+        assert fold.is_empty()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize(
