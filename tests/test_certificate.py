@@ -727,3 +727,44 @@ def test_verdicts_do_not_depend_on_earlier_verifications():
         assert not verdict.valid
         assert verify_certificate(original) == Verdict(True)
         assert verify_certificate(mutant) == verdict
+
+
+# -- verdict digest -------------------------------------------------------------
+
+
+def _verdict_of(obj: dict) -> tuple[bool, str, str]:
+    """(valid, path, reason) of a certificate object, a load error counting
+    as a rejection at its path."""
+    try:
+        verdict = verify_certificate(Certificate.from_json(obj))
+    except MalformedCertificateError as e:
+        return False, e.path, e.message
+    return verdict.valid, verdict.path, verdict.reason
+
+
+def _all_verdicts() -> list[tuple[str, bool, str, str]]:
+    """The verdicts of the shipped certificates, of the mutants of the
+    three mutation tests and of HOSTILE_EDITS, sorted by name."""
+    edits = []
+    for name, mutations in (
+        ("theorem_20_99_101", lambda base: ((d, f) for d, f, _ in _mutations_theorem(base))),
+        ("mod17_kill", _mutations_small),
+        ("subcase_z_lt_x_lt_y", _mutations_subcase),
+    ):
+        edits.append((f"shipped/{name}", name, lambda o: None))
+        edits += [(f"mutant/{name}/{desc}", name, mutate) for desc, mutate in mutations(_shipped(name))]
+    edits += [(f"hostile/{key}", name, mutate) for key, name, mutate, _, _ in HOSTILE_EDITS]
+    return sorted((key, *_verdict_of(_hostile(name, mutate))) for key, name, mutate in edits)
+
+
+# The SHA-256 of the sorted (name, valid, path, reason) tuples as JSON: a
+# change to any verdict, down to one character of a reason, changes it.
+VERDICT_DIGEST = "b4620ea7c3f61ec8f5eb4d2ee28a3350dde434c3e4ab428329924e91a8d76155"
+
+
+def test_verdict_digest_is_pinned():
+    verdicts = _all_verdicts()
+    assert len(verdicts) == 3 + 15 + 11 + 11 + len(HOSTILE_EDITS)
+    assert [v[0] for v in verdicts if v[1]] == ["shipped/mod17_kill", "shipped/subcase_z_lt_x_lt_y", "shipped/theorem_20_99_101"]
+    text = json.dumps(verdicts, ensure_ascii=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERDICT_DIGEST, text
