@@ -16,19 +16,16 @@ none is stated) and every exponent >= 0.  A lower bound the sieve cannot
 derive from the stated ones is never assumed; an exponent with a
 negative coefficient gets the domain's floor 0.
 
-Three entry points share one plan (_plan) and so raise the same errors;
-each answers one question in the way its caller needs:
+One evaluator, CongruenceFold, holds the solutions: it reduces each
+variable group to the residues its partial sum reaches, and streams the
+group of most cells against the sumset of the others.  It has two entry
+points, which raise the same errors from the same checks:
 
-* congruence_solutions lists every solving cell, for callers that read
-  the cells (two_term_solutions and the tests);
-* has_solution asks only whether a cell solves, and stops the join at
-  the first survivor: the killing-modulus scan mostly meets solvable
-  moduli, where a survivor comes early;
-* congruence_fold reduces each variable group to the residues its
-  partial sum reaches and combines the groups as a sumset, for the
-  verifier, whose questions (emptiness, a projection, the class count
-  and the first class) need no list of cells and whose leaves are mostly
-  empty, where a join walks every cell to find none.
+* congruence_fold answers emptiness, a projection, the class count and
+  the first class without listing cells: for the killing-modulus scan
+  and the verifier;
+* congruence_solutions lists every solving cell (CongruenceFold.cells),
+  for callers that read the cells (two_term_solutions and the tests).
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ __all__ = [
     "UnsupportedModulusError",
     "TorusTooLargeError",
     "congruence_solutions",
-    "has_solution",
     "congruence_fold",
     "CongruenceFold",
     "two_term_solutions",
@@ -329,42 +325,15 @@ def congruence_solutions(
 ) -> ResidueClassSet:
     """Exact solutions of  sum(terms) == 0 (mod m)  on the residue torus,
     every solving cell listed: for callers that read the cells themselves.
+    The cells are those of congruence_fold(...).cells(), with its errors.
 
     Variables with plain linear exponents are enumerated directly; an
     exponent of the shape sym*(linear) is enumerated as one opaque atom
     over all residues, which can only enlarge the solution set and so
     keeps emptiness results sound.
-
-    The torus is not walked cell by cell.  Its variables are split into
-    a stored and a streamed side that no term spans (_split_torus); the
-    stored side's partial sums are tabulated by residue, and each streamed
-    cell with partial sum r meets exactly the stored cells with residue
-    -(offset + r) mod m, a meet in the middle in the manner of baby-step
-    giant-step.
     """
-    names, periods, cells = _solve(terms, m, constraints, order_cap)
-    return ResidueClassSet(m, names, periods, frozenset(cells))
-
-
-def has_solution(
-    terms: list[Term],
-    m: int,
-    constraints: ConstraintSet | None = None,
-    order_cap: int | None = None,
-) -> bool:
-    """Whether  sum(terms) == 0 (mod m)  has a solution on the residue torus:
-    not congruence_solutions(...).is_empty(), with the same errors, but the
-    join stops at its first surviving cell.
-
-    This is the killing-modulus scan's question, and the scan mostly meets
-    solvable moduli, where the first survivor comes early; so it stays a
-    join rather than a fold (congruence_fold), which always reduces every
-    group in full.  Folding it slowed the scan of
-    `prove --terms "101^z - 1 - 99^y*2^a*5^b" --mmax 200` from about 12 to
-    18.5 ms (Python 3.11, 2-CPU VM).
-    """
-    _, _, cells = _solve(terms, m, constraints, order_cap)
-    return next(cells, None) is not None
+    fold = congruence_fold(terms, m, constraints, order_cap)
+    return ResidueClassSet(m, fold.variables, fold.periods, frozenset(fold.cells()))
 
 
 def congruence_fold(
@@ -375,20 +344,10 @@ def congruence_fold(
 ) -> "CongruenceFold":
     """The solutions of  sum(terms) == 0 (mod m)  on the residue torus,
     held as the residues each variable group's partial sum can reach
-    rather than as cells: the verifier's questions (is the set empty, its
-    projection onto one variable, how many classes it has and which is
-    first) need no list of cells.  Raises every error congruence_solutions
-    raises, from the same checks."""
-    live, names, periods, constraints = _plan(terms, m, constraints, order_cap)
-    return CongruenceFold(m, names, periods, live, constraints)
-
-
-def _plan(
-    terms: list[Term], m: int, constraints: ConstraintSet | None, order_cap: int | None
-) -> tuple[list[tuple[int, list[_EvalPower]]], tuple[str, ...], tuple[int, ...], ConstraintSet]:
-    """Check the arguments and plan the torus: its live terms, variables,
-    their periods and the constraints.  Every error is raised here, before
-    the first cell is joined or folded."""
+    rather than as cells: the scan's and the verifier's questions (is the
+    set empty, its projection onto one variable, how many classes it has
+    and which is first) need no list of cells.  Every error is raised
+    here, from the argument checks and the plan, before a cell is read."""
     if m < 2:
         raise SieveError(f"modulus must be >= 2, got {m}")
     if m > MODULUS_MAX:
@@ -399,16 +358,7 @@ def _plan(
     live, plan = _build_plan(terms, m, constraints, order_cap)
     names = tuple(n for n, _ in plan)
     periods = tuple(p for _, p in plan)
-    return live, names, periods, constraints
-
-
-def _solve(
-    terms: list[Term], m: int, constraints: ConstraintSet | None, order_cap: int | None
-) -> tuple[tuple[str, ...], tuple[int, ...], Iterator[tuple[int, ...]]]:
-    """The torus's variables, their periods and a generator of its
-    surviving cells; every error is raised before the generator is made."""
-    live, names, periods, constraints = _plan(terms, m, constraints, order_cap)
-    return names, periods, _survivors(live, names, periods, m, constraints)
+    return CongruenceFold(m, names, periods, live, constraints)
 
 
 def _candidates(names: tuple[str, ...], periods: tuple[int, ...], constraints: ConstraintSet) -> list[list[int]]:
@@ -424,32 +374,6 @@ def _candidates(names: tuple[str, ...], periods: tuple[int, ...], constraints: C
     return candidates
 
 
-def _survivors(
-    live: list[tuple[int, list[_EvalPower]]],
-    names: tuple[str, ...],
-    periods: tuple[int, ...],
-    m: int,
-    constraints: ConstraintSet,
-) -> Iterator[tuple[int, ...]]:
-    """Yield each cell of the torus that solves the congruence, its values
-    in the order of names, joining the stored side with the streamed one."""
-    if constraints.unsatisfiable_names():
-        return
-    candidates = _candidates(names, periods, constraints)
-    offset, compiled = _compile_terms(live, names, periods, m)
-    stored_side, streamed_side = _split_torus(candidates, compiled)
-    stored: dict[int, list[tuple[int, ...]]] = {}
-    for total, part in _side_sums(stored_side, candidates, compiled):
-        stored.setdefault(total % m, []).append(part)
-    # position in (stored values + streamed values) of each variable of names
-    at = {i: k for k, i in enumerate(stored_side + streamed_side)}
-    order = [at[i] for i in range(len(names))]
-    for total, part in _side_sums(streamed_side, candidates, compiled):
-        for head in stored.get((-offset - total) % m, ()):
-            cell = head + part
-            yield tuple([cell[k] for k in order])
-
-
 def _groups(n: int, compiled: list[tuple[int, list[tuple[int, list[int]]]]]) -> list[list[int]]:
     """The torus variables (by index) in groups, each sorted: variables fall
     into one group when a compiled term uses both, so no term spans two
@@ -461,30 +385,6 @@ def _groups(n: int, compiled: list[tuple[int, list[tuple[int, list[int]]]]]) -> 
         if touched:
             groups = [g for g in groups if g.isdisjoint(link)] + [set().union(*touched)]
     return [sorted(g) for g in groups]
-
-
-def _split_torus(
-    candidates: list[list[int]],
-    compiled: list[tuple[int, list[tuple[int, list[int]]]]],
-) -> tuple[list[int], list[int]]:
-    """Split the torus variables (by index) into a stored and a streamed side,
-    each a union of _groups, so the sum of the terms splits into one
-    partial sum per side.  The smallest groups go to the stored side while
-    its cell count squared stays within the torus's, which keeps the stored
-    side at most the square root of the torus; the other groups are
-    streamed.
-    """
-    n = len(candidates)
-    sized = sorted((math.prod(len(candidates[i]) for i in g), g) for g in _groups(n, compiled))
-    cells = math.prod(size for size, _ in sized)
-    stored: list[int] = []
-    stored_cells = 1
-    for size, group in sized:
-        if (stored_cells * size) ** 2 > cells:
-            break
-        stored += group
-        stored_cells *= size
-    return stored, [i for i in range(n) if i not in stored]
 
 
 def _side_sums(
@@ -567,14 +467,14 @@ class CongruenceFold:
     combine as a sumset mod m.  No cell of the whole torus is listed, so a
     question costs about the sum of the groups' sizes, not their product.
     The group with the most cells is met against the sumset of the others
-    as it is enumerated, not held, as the join streams its larger side: so
-    the emptiness of a torus that is one large group of several terms
-    holds no more than the join does.
+    as it is enumerated, not held: emptiness stops at its first meeting,
+    and a torus that is one large group of several terms is never held
+    whole.
 
-    modulus, variables and periods are those of the ResidueClassSet that
-    congruence_solutions returns for the same arguments, and is_empty(),
-    project(name), len() and first() answer as that set's is_empty(),
-    project(name), len() and sorted(tuples)[0] do.
+    cells() lists the solving cells, which congruence_solutions returns
+    as a ResidueClassSet with these modulus, variables and periods; and
+    is_empty(), project(name), len() and first() answer as that set's
+    is_empty(), project(name), len() and sorted(tuples)[0] do.
     """
 
     def __init__(
@@ -627,6 +527,27 @@ class CongruenceFold:
             return frozenset()
         return frozenset(self._values(i, self._candidates, self._reach))
 
+    def cells(self) -> Iterator[tuple[int, ...]]:
+        """Yield each solving cell, its values in the order of variables.
+        The cells of the other groups are tabulated by the residue of their
+        partial sum, and each cell of the largest group with partial sum t
+        meets the tabulated cells with residue target - t, as is_empty()
+        meets the residues."""
+        if self._dead:
+            return
+        m = self.modulus
+        big = self._groups[self._big] if self._big is not None else []
+        rest = [i for i in range(len(self.variables)) if i not in big]
+        table: dict[int, list[tuple[int, ...]]] = {}
+        for total, part in _side_sums(rest, self._candidates, self._compiled):
+            table.setdefault(total % m, []).append(part)
+        at = {i: k for k, i in enumerate(rest + big)}  # position in (rest values + big values)
+        order = [at[i] for i in range(len(self.variables))]
+        for total, part in _side_sums(big, self._candidates, self._compiled):
+            for head in table.get((self._target - total) % m, ()):
+                cell = head + part
+                yield tuple([cell[k] for k in order])
+
     def first(self) -> tuple[int, ...] | None:
         """The lexicographically first solution class, or None when there is
         none: each variable in turn takes its least value that still leaves
@@ -640,18 +561,21 @@ class CongruenceFold:
         return tuple(c[0] for c in candidates)
 
     def _stream(self, j: int | None, candidates: list[list[int]]) -> Iterable[int]:
-        """The residues of group j's partial sum: a set for a monomial, cell
-        by cell for several terms, and 0 alone for no group."""
+        """The residues of group j's partial sum: for a monomial, a product
+        set over every variable but the last, streamed over the last; cell
+        by cell for several terms; and 0 alone for no group."""
         if j is None:
             return (0,)
         m = self.modulus
         if len(self._terms[j]) == 1:
             (coef, tables), = self._terms[j]
             reach = {coef}
-            for i, table in tables:
+            for i, table in tables[:-1]:
                 values = {table[v] for v in candidates[i]}
                 reach = {r * t % m for r in reach for t in values}
-            return reach
+            i, table = tables[-1]
+            last = {table[v] for v in candidates[i]}
+            return (r * t % m for r in reach for t in last)
         return (total % m for total, _ in _side_sums(self._groups[j], candidates, self._compiled))
 
     def _need(self, j: int | None, candidates: list[list[int]], reach: dict[int, set[int]]) -> set[int]:
@@ -785,14 +709,12 @@ def find_killing_modulus(
     skipped: list[tuple[int, str]] = []
     for m in range(2, m_max + 1):
         try:
-            survives = has_solution(terms, m, constraints, order_cap=order_cap)
+            fold = congruence_fold(terms, m, constraints, order_cap=order_cap)
         except (UnsupportedModulusError, TorusTooLargeError) as e:
             skipped.append((m, str(e)))
             continue
         scanned.append(m)
-        if not survives:
-            # no cell survives, so the killer's empty set needs only the plan, not a second join
-            names, periods, _ = _solve(terms, m, constraints, order_cap)
-            rcs = ResidueClassSet(m, names, periods, frozenset())
+        if fold.is_empty():
+            rcs = ResidueClassSet(m, fold.variables, fold.periods, frozenset())
             return KillingWitness(m, rcs, tuple(scanned), tuple(skipped))
     return KillingWitness(None, None, tuple(scanned), tuple(skipped))

@@ -18,7 +18,6 @@ from jesma.sieve import (
     congruence_fold,
     congruence_solutions,
     find_killing_modulus,
-    has_solution,
     two_term_solutions,
 )
 from jesma.symbolic import ExpExpr, Lin, Power, Term
@@ -449,7 +448,7 @@ def test_sieve_scan_torus_matches_reference():
     real = sieve._side_sums
     with mock.patch.object(sieve, "_side_sums", spy):
         assert congruence_solutions(KILL_TERMS, 37, cons, order_cap=120) == expected
-    # z is stored (6 cells, 6^2 <= 23,328) and (a, b, y) streamed against it
+    # z is tabulated (6 cells) and (a, b, y), the largest group, streamed against it
     assert sides == [["z"], ["a", "b", "y"]]
 
 
@@ -495,52 +494,12 @@ def _outcome(fn, *args):
         return type(e), str(e)
 
 
-def _check_has_solution(terms, m, ops, order_cap, contradict):
+def _check_fold(terms, m, ops, order_cap, contradict):
     cons = ConstraintSet.none()
     for op in ops:
         cons = _apply(cons, op)
     if contradict:  # x odd and x even: no cell survives, whatever the torus
         cons = cons.with_parity("x", 0).with_parity("x", 1)
-    with mock.patch.object(sieve, "TORUS_CELL_LIMIT", 20_000):
-        full = _outcome(congruence_solutions, terms, m, cons, order_cap)
-        early = _outcome(has_solution, terms, m, cons, order_cap)
-    if isinstance(full, ResidueClassSet):
-        assert early is (not full.is_empty())
-        if contradict:
-            assert early is False
-    else:
-        assert early == full  # the same error type and message
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    terms_st,
-    st.one_of(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]), st.integers(0, 40)),
-    st.lists(constraint_ops, max_size=3),
-    st.sampled_from([None, 6, 12]),
-    st.booleans(),
-)
-def test_has_solution_matches_full_enumeration(terms, m, ops, order_cap, contradict):
-    """has_solution is congruence_solutions' emptiness, or the same error."""
-    _check_has_solution(terms, m, ops, order_cap, contradict)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    grouped_terms_st,
-    st.one_of(st.sampled_from([3, 5, 7, 9, 11, 13, 17]), st.integers(2, 24)),
-    st.lists(grouped_constraint_ops, max_size=3),
-    st.sampled_from([None, 6, 12]),
-    st.booleans(),
-)
-def test_has_solution_matches_full_enumeration_on_grouped_tori(terms, m, ops, order_cap, contradict):
-    _check_has_solution(terms, m, ops, order_cap, contradict)
-
-
-def _check_fold(terms, m, ops, order_cap):
-    cons = ConstraintSet.none()
-    for op in ops:
-        cons = _apply(cons, op)
     with mock.patch.object(sieve, "TORUS_CELL_LIMIT", 20_000):
         rcs = _outcome(congruence_solutions, terms, m, cons, order_cap)
         fold = _outcome(congruence_fold, terms, m, cons, order_cap)
@@ -549,6 +508,8 @@ def _check_fold(terms, m, ops, order_cap):
         return
     assert (fold.modulus, fold.variables, fold.periods) == (rcs.modulus, rcs.variables, rcs.periods)
     assert fold.is_empty() is rcs.is_empty()
+    if contradict:
+        assert fold.is_empty()
     assert len(fold) == len(rcs)
     for name in rcs.variables:
         assert fold.project(name) == rcs.project(name), name
@@ -563,11 +524,12 @@ def _check_fold(terms, m, ops, order_cap):
     st.one_of(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]), st.integers(0, 40)),
     st.lists(constraint_ops, max_size=3),
     st.sampled_from([None, 6, 12]),
+    st.booleans(),
 )
-def test_fold_matches_join(terms, m, ops, order_cap):
+def test_fold_matches_join(terms, m, ops, order_cap, contradict):
     """The fold answers emptiness, every projection, the class count and
-    the first class as the joined cells do, or raises the same error."""
-    _check_fold(terms, m, ops, order_cap)
+    the first class as the listed cells do, or raises the same error."""
+    _check_fold(terms, m, ops, order_cap, contradict)
 
 
 @settings(deadline=None)
@@ -576,9 +538,10 @@ def test_fold_matches_join(terms, m, ops, order_cap):
     st.one_of(st.sampled_from([3, 5, 7, 9, 11, 13, 17]), st.integers(2, 24)),
     st.lists(grouped_constraint_ops, max_size=3),
     st.sampled_from([None, 6, 12]),
+    st.booleans(),
 )
-def test_fold_matches_join_on_grouped_tori(terms, m, ops, order_cap):
-    _check_fold(terms, m, ops, order_cap)
+def test_fold_matches_join_on_grouped_tori(terms, m, ops, order_cap, contradict):
+    _check_fold(terms, m, ops, order_cap, contradict)
 
 
 def test_fold_reads_no_torus_cell_of_a_monomial_group():
@@ -623,7 +586,7 @@ def test_fold_streams_its_largest_group():
 def test_has_solution_raises_as_congruence_solutions(terms, m, order_cap, error):
     full = _outcome(congruence_solutions, terms, m, None, order_cap)
     assert full[0] is error
-    assert _outcome(has_solution, terms, m, None, order_cap) == full
+    assert _outcome(congruence_fold, terms, m, None, order_cap) == full
 
 
 def _reference_scan(terms, constraints, m_max, order_cap=120):
