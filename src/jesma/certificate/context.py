@@ -296,14 +296,23 @@ class Context(Frozen):
         return self.implied(e.lin - target)
 
     def exp_lower_bound(self, e: ExpExpr, cap: int) -> int:
-        """Largest b <= cap with the exponent provably >= b (0 if none)."""
-        best = 0
-        for b in range(1, cap + 1):
-            if self.exp_at_least(e, b):
-                best = b
+        """Largest b <= cap with the exponent provably >= b (0 if none).
+
+        b doubles while it is proved, then a binary search runs between the
+        last b proved and the first refuted: a proof of b is a proof of
+        every smaller bound, and a cap far above the answer costs about
+        2 * log2(answer) proofs, not one per value."""
+        lo, b = 0, 1  # lo is proved, or 0
+        while b <= cap and self.exp_at_least(e, b):
+            lo, b = b, 2 * b
+        hi = min(b, cap + 1)  # refuted, or past the cap
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.exp_at_least(e, mid):
+                lo = mid
             else:
-                break
-        return best
+                hi = mid
+        return lo
 
     # -- term comparison ---------------------------------------------------------
 

@@ -42,6 +42,9 @@ _ALL_CLASSES = [c.value for c in OrderingClass]
 _PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, AttributeError, ArithmeticError)
 
 _SHOWN_RESIDUES = 10  # missing residues a residue-split rejection lists
+# How far past the sieve's cap a variable's lower bound is proved: an
+# exponent constant of a million bits would otherwise cost a proof per bit.
+_BOUND_SLACK_MAX = 1 << 16
 
 
 class Verdict(Frozen):
@@ -118,20 +121,12 @@ def _initial_context(cert: Certificate) -> Context:
             ctx = replace(ctx, fixed=fixed)
             for name, v in fixed.items():
                 ctx = ctx.with_fact(Lin.var(name) - v).with_fact(Lin.var(name) * -1 + v)
-        for name in _equation_variables(terms):
+        # every name an exponent uses, inside atoms too: the sieve reads their bounds
+        for name in set().union(*(t.variables() for t in terms)):
             lb = int(cons.get("lower_bounds", {}).get(name, "1"))
             ctx = ctx.with_fact(Lin.var(name) - lb)
         return ctx
     raise MalformedCertificateError("$.equation", f"unknown equation form {form!r}")
-
-
-def _equation_variables(terms) -> set[str]:
-    out: set[str] = set()
-    for t in terms:
-        for p in t.powers:
-            if p.exp.sym is None:
-                out |= p.exp.lin.variables()
-    return out
 
 
 def _verify_node(node: Node, ctx: Context, path: str) -> None:
@@ -312,8 +307,9 @@ def _sieve_constraints(ctx: Context, terms, m: int) -> ConstraintSet:
 
 
 class _ProvenBounds(Mapping):
-    """The lower bound the branch facts prove for each exponent of the
-    terms, keyed by its bare atom (the sieve re-applies offsets), as a
+    """The lower bound the branch facts prove for each name the sieve reads:
+    each exponent of the terms, keyed by its bare atom (the sieve
+    re-applies offsets), and each variable and symbol in an exponent, as a
     read-only mapping that proves a name's bound the first time it is read.
 
     The entries are those that proving every exponent's bound in term order
@@ -326,22 +322,32 @@ class _ProvenBounds(Mapping):
 
     def __init__(self, ctx: Context, terms, cap: int):
         self._ctx = ctx
-        self._cap = cap
         # name -> its distinct bare exponents, in order of last occurrence
         self._bare: dict[str, list[ExpExpr]] = {}
+        # name -> the largest bound worth proving.  The sieve caps an
+        # exponent's bound at cap; a variable's or a symbol's bound reaches
+        # it through a linear part's constant and an atom's offset, so it is
+        # proved past cap by as much as they take away, up to _BOUND_SLACK_MAX.
+        self._cap: dict[str, int] = {}
         for t in terms:
             for p in t.powers:
-                bare = ExpExpr(p.exp.lin, p.exp.sym)
-                seen = self._bare.setdefault(bare.atom_name(), [])
-                if bare in seen:
-                    seen.remove(bare)
-                seen.append(bare)
+                e = p.exp
+                slack = min(max(0, -e.lin.const) + max(0, -e.off), _BOUND_SLACK_MAX)
+                named = [(ExpExpr(e.lin, e.sym), cap)]
+                named += [(ExpExpr(Lin.var(v)), cap + slack) for v in sorted(e.variables())]
+                for bare, name_cap in named:
+                    name = bare.atom_name()
+                    seen = self._bare.setdefault(name, [])
+                    if bare in seen:
+                        seen.remove(bare)
+                    seen.append(bare)
+                    self._cap[name] = max(self._cap.get(name, 0), name_cap)
         self._proved: dict[str, int | None] = {}
 
     def _prove(self, name: str) -> int | None:
         bound = None
         for bare in self._bare.get(name, ()):
-            lb = self._ctx.exp_lower_bound(bare, self._cap)
+            lb = self._ctx.exp_lower_bound(bare, self._cap[name])
             floor = self._ctx.fixed[name] if name in self._ctx.fixed else bound or 0
             if lb > max(floor, 0):  # a 0 from exp_lower_bound proves nothing
                 bound = lb

@@ -36,7 +36,8 @@ def force_pool(monkeypatch):
     return started
 
 
-# The fold-vs-join property tests of test_sieve.py set no max_examples, so
-# tier-1 runs hypothesis's default 100 examples each; CI runs them at ten
-# times that with `pytest --hypothesis-profile=fold-ci -k fold_matches_join`.
+# The fold property tests and the soundness oracle of test_sieve.py set no
+# max_examples, so tier-1 runs hypothesis's default 100 examples each; CI
+# runs them at ten times that with `pytest --hypothesis-profile=fold-ci
+# -k "fold_matches_join or soundness_oracle"`.
 settings.register_profile("fold-ci", max_examples=1_000)

@@ -692,7 +692,7 @@ def test_theorem_verification_work_is_pinned(monkeypatch):
     # Fourier-Motzkin runs and 133 bound proofs
     counts = _count_work(monkeypatch)
     assert verify_certificate(Certificate.from_json(_shipped("theorem_20_99_101"))).valid
-    assert counts["fm"] <= 89 and counts["bounds"] <= 26, counts
+    assert counts["fm"] <= 87 and counts["bounds"] <= 26, counts
 
 
 def test_each_verification_has_its_own_memo(monkeypatch):

@@ -15,7 +15,7 @@ from jesma.certificate.context import (
     _normalize_fact,
     refine_residues,
 )
-from jesma.certificate.engine import _sieve_constraints
+from jesma.certificate.engine import _BOUND_SLACK_MAX, _sieve_constraints
 from jesma.certificate.ineq import _lin_residues_mod
 from jesma.record import replace
 from jesma.sieve import ConstraintSet, SieveError, congruence_solutions
@@ -130,7 +130,7 @@ def test_implied_rounds_after_substitution():
     _lins,
     st.one_of(st.none(), st.sampled_from(SYMS)),
     st.integers(-2, 2),
-    st.integers(0, 6),
+    st.integers(0, 20),
 )
 def test_exp_lower_bound_matches_unmemoized(ctx, lin, sym, off, cap):
     e = ExpExpr(lin, sym, off)
@@ -146,16 +146,26 @@ def _eager_sieve_constraints(ctx: Context, terms, m: int) -> ConstraintSet:
     for name, value in ctx.fixed.items():
         cons = cons.with_fixed(name, value)
     cap = m.bit_length() + 1
+    # each exponent, then each variable and symbol in it, past the cap by
+    # what the exponent's constant and offset take away
+    occurrences = []
     for t in terms:
         for p in t.powers:
-            bare = ExpExpr(p.exp.lin, p.exp.sym)
-            name = bare.atom_name()
-            lb = ctx.exp_lower_bound(bare, cap)
-            # 0 proves nothing, also under a negative fixed value; any bound
-            # >= 1 counts, since an exponent the sieve cannot bound gets 0
-            floor = cons.fixed[name] if name in cons.fixed else cons.lower_bounds.get(name, 0)
-            if lb > max(floor, 0):
-                cons = cons.with_lower_bound(name, lb)
+            e = p.exp
+            slack = min(max(0, -e.lin.const) + max(0, -e.off), _BOUND_SLACK_MAX)
+            occurrences.append((ExpExpr(e.lin, e.sym), cap))
+            occurrences += [(ExpExpr(Lin.var(v)), cap + slack) for v in sorted(e.variables())]
+    caps: dict[str, int] = {}
+    for bare, c in occurrences:
+        caps[bare.atom_name()] = max(caps.get(bare.atom_name(), 0), c)
+    for bare, _ in occurrences:
+        name = bare.atom_name()
+        lb = ctx.exp_lower_bound(bare, caps[name])
+        # 0 proves nothing, also under a negative fixed value; any bound
+        # >= 1 counts, since an exponent the sieve cannot bound gets 0
+        floor = cons.fixed[name] if name in cons.fixed else cons.lower_bounds.get(name, 0)
+        if lb > max(floor, 0):
+            cons = cons.with_lower_bound(name, lb)
     return cons
 
 
@@ -199,12 +209,13 @@ def test_lazy_bounds_match_eager_bounds(ctx, low, terms, m, data):
 def test_lazy_bounds_keep_the_last_bound_above_a_fixed_value():
     # above a fixed value, each exponent named "x+1" in turn replaces the
     # bound proved before it, so the last occurrence decides: 4, not 2
+    # (x, the variable inside x + 1, has its own bound 3)
     a, b = _COLLIDING  # x + 1 >= 4 and the variable x+1 >= 2
     ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
     ctx = replace(ctx.with_fact(Lin.var("x") - 3).with_fact(Lin.var("x+1") - 2), fixed={"x+1": 1})
     terms = [Term.of(1, (2, a)), Term.of(1, (3, b)), Term.of(1, (5, a))]
-    assert _eager_sieve_constraints(ctx, terms, 16).lower_bounds == {"x+1": 4}
-    assert dict(_sieve_constraints(ctx, terms, 16).lower_bounds) == {"x+1": 4}
+    assert _eager_sieve_constraints(ctx, terms, 16).lower_bounds == {"x+1": 4, "x": 3}
+    assert dict(_sieve_constraints(ctx, terms, 16).lower_bounds) == {"x+1": 4, "x": 3}
 
 
 def test_normal_form_takes_terms_it_cannot_memoize():

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 import tracemalloc
 from unittest import mock
 
@@ -308,6 +310,8 @@ constraint_ops = st.one_of(
     ),
     st.tuples(st.just("parity"), st.sampled_from(CONSTRAINT_NAMES), st.integers(0, 1)),
 )
+# a certificate states lower bounds on variables and symbols, at least 1
+lower_bound_ops = st.tuples(st.just("lower"), st.sampled_from(VARS + ("r",)), st.integers(1, 6))
 
 
 def _apply(cons, op):
@@ -316,6 +320,8 @@ def _apply(cons, op):
         return cons.with_fixed(*args)
     if kind == "residue":
         return cons.with_residue(*args)
+    if kind == "lower":
+        return cons.with_lower_bound(*args)
     return cons.with_parity(*args)
 
 
@@ -412,12 +418,21 @@ def test_grouped_tori_match_per_cell_reference(terms, m, ops, order_cap):
 # r*(x) fixed below 1: the verifier once read an unproved bound 0 for it, so
 # (2^(r*(x)))^2 no longer vanished mod 2 as it did in the scan that found the kill
 @example([Term.of(1, (2, atom("r", x=1)), (2, atom("r", x=1))), Term.of(1, (3, v("x")))], [("fixed", "r*(x)", -1)])
-@given(terms_st, st.lists(constraint_ops, max_size=3))
+# x >= 3 makes 2^(r*(x)) vanish mod 4, and x occurs only inside exponents
+# that are not x itself: the verifier once left x at the default bound 1
+@example(
+    [Term.of(2, (7, ExpExpr(Lin.of(0, x=1, y=-1), "r", 1))), Term.of(5, (5, ExpExpr(Lin.of(0, x=1, z=-1))), (2, atom("r", x=1)))],
+    [("parity", "y", 1), ("lower", "x", 3)],
+)
+# x >= 6 makes 2^(r*(x-3)) vanish mod 4 only with x's bound proved past
+# the sieve's cap (4 at m = 4) by the 3 that the constant takes away
+@example([Term.of(1, (2, ExpExpr(Lin.of(-3, x=1), "r"))), Term.of(1, (9, v("y"))), Term.of(1)], [("lower", "x", 6)])
+@given(terms_st, st.lists(st.one_of(constraint_ops, lower_bound_ops), max_size=3))
 def test_every_kill_prove_can_emit_verifies(terms, ops):
-    """A kill found under residues, parities and fixed values, on variables
-    and on exponent atoms, gives a certificate that verifies after a round
-    trip through its JSON text: the constraints the scan reads are the ones
-    the certificate states."""
+    """A kill found under residues, parities, fixed values and lower bounds,
+    on variables and on exponent atoms, gives a certificate that verifies
+    after a round trip through its JSON text: the constraints the scan
+    reads are the ones the certificate states."""
     cons = ConstraintSet.none()
     for op in ops:
         cons = _apply(cons, op)
@@ -618,3 +633,75 @@ def test_scan_record_matches_full_enumeration(m_max, z_even):
     else:
         assert witness.modulus is None
         assert len(witness.scanned) == {40: 20, 200: 44}[m_max]
+
+
+# -- soundness oracle -----------------------------------------------------------
+# Random killing certificates over x, y and atoms r*(lin), with moduli 2-24.
+# Each one that verifies is checked by brute force on the box x, y in 1..8,
+# r in 1..4, at the points of the certificate's domain: every constraint
+# holds and every exponent is >= 0.  No such point may solve the congruence.
+
+ORACLE_ATOM_LINS = (Lin.var("x"), Lin.of(0, x=1, y=-1), Lin.of(-1, y=1))
+ORACLE_NAMES = ("x", "y") + tuple(ExpExpr(lin, "r").atom_name() for lin in ORACLE_ATOM_LINS)
+ORACLE_BOX = []  # each point of the box, with the value of each atom
+for _x, _y, _r in itertools.product(range(1, 9), range(1, 9), range(1, 5)):
+    _point = {"x": _x, "y": _y, "r": _r}
+    ORACLE_BOX.append({**_point, **{name: _r * lin.evaluate(_point) for name, lin in zip(ORACLE_NAMES[2:], ORACLE_ATOM_LINS)}})
+
+
+def _oracle_draw(rnd):
+    """The terms, constraints and modulus of one random killing certificate."""
+
+    def exponent():
+        if rnd.random() < 0.5:
+            return ExpExpr(Lin.of(rnd.randint(-2, 2), x=rnd.randint(-2, 2), y=rnd.randint(-2, 2)))
+        return ExpExpr(rnd.choice(ORACLE_ATOM_LINS), "r", rnd.randint(-2, 2))
+
+    terms = [
+        Term(rnd.choice((-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)),
+             tuple(Power(rnd.randint(2, 12), exponent()) for _ in range(rnd.randint(0, 2))))
+        for _ in range(rnd.randint(2, 3))
+    ]
+    cons = ConstraintSet.none()
+    for _ in range(rnd.randint(0, 2)):
+        kind = rnd.choice(("residue", "fixed", "lower"))
+        if kind == "residue":
+            cons = cons.with_residue(rnd.choice(ORACLE_NAMES), rnd.randint(2, 4), set(rnd.sample(range(4), rnd.randint(1, 2))))
+        elif kind == "fixed":
+            cons = cons.with_fixed(rnd.choice(ORACLE_NAMES), rnd.randint(-1, 8))
+        else:
+            cons = cons.with_lower_bound(rnd.choice(("x", "y", "r")), rnd.randint(1, 4))
+    return terms, cons, rnd.randint(2, 24)
+
+
+def _oracle_solution(terms, cons, m):
+    """A point of the box in the certificate's domain that solves the
+    congruence mod m, or None."""
+    for values in ORACLE_BOX:
+        if any(values[n] < b for n, b in cons.lower_bounds.items()):
+            continue
+        if any(values[n] != f for n, f in cons.fixed.items()):
+            continue
+        if not all(cons.residue_allows(n, values[n]) for n in cons.residues):
+            continue
+        exps = [[(p.base, p.exp.evaluate(values)) for p in t.powers] for t in terms]
+        if any(e < 0 for powers in exps for _, e in powers):
+            continue
+        if sum(t.coef * math.prod(pow(b, e, m) for b, e in powers) for t, powers in zip(terms, exps)) % m == 0:
+            return values
+    return None
+
+
+# no max_examples: tier-1 runs hypothesis's default 100 examples of 30
+# certificates each, and the "fold-ci" profile of conftest.py ten times as many
+@seed(1917)
+@settings(deadline=None)
+@given(st.integers(0, 2**64))
+def test_soundness_oracle(draw_seed):
+    """No killing certificate that verifies has a solution in its domain."""
+    rnd = random.Random(draw_seed)
+    for _ in range(30):
+        terms, cons, m = _oracle_draw(rnd)
+        if verify_certificate(killing_certificate(terms, cons, m)).valid:
+            point = _oracle_solution(terms, cons, m)
+            assert point is None, ([str(t) for t in terms], cons, m, point)
