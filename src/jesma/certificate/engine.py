@@ -122,7 +122,7 @@ def _initial_context(cert: Certificate) -> Context:
             for name, v in fixed.items():
                 ctx = ctx.with_fact(Lin.var(name) - v).with_fact(Lin.var(name) * -1 + v)
         # every name an exponent uses, inside atoms too: the sieve reads their bounds
-        for name in set().union(*(t.variables() for t in terms)):
+        for name in sorted(set().union(*(t.variables() for t in terms))):
             lb = int(cons.get("lower_bounds", {}).get(name, "1"))
             ctx = ctx.with_fact(Lin.var(name) - lb)
         return ctx

@@ -421,7 +421,10 @@ def test_grouped_tori_match_per_cell_reference(terms, m, ops, order_cap):
 # x >= 3 makes 2^(r*(x)) vanish mod 4, and x occurs only inside exponents
 # that are not x itself: the verifier once left x at the default bound 1
 @example(
-    [Term.of(2, (7, ExpExpr(Lin.of(0, x=1, y=-1), "r", 1))), Term.of(5, (5, ExpExpr(Lin.of(0, x=1, z=-1))), (2, atom("r", x=1)))],
+    [
+        Term.of(2, (7, ExpExpr(Lin.of(0, x=1, y=-1), "r", 1))),
+        Term.of(5, (5, ExpExpr(Lin.of(0, x=1, z=-1))), (2, atom("r", x=1))),
+    ],
     [("parity", "y", 1), ("lower", "x", 3)],
 )
 # x >= 6 makes 2^(r*(x-3)) vanish mod 4 only with x's bound proved past
@@ -642,11 +645,16 @@ def test_scan_record_matches_full_enumeration(m_max, z_even):
 # holds and every exponent is >= 0.  No such point may solve the congruence.
 
 ORACLE_ATOM_LINS = (Lin.var("x"), Lin.of(0, x=1, y=-1), Lin.of(-1, y=1))
-ORACLE_NAMES = ("x", "y") + tuple(ExpExpr(lin, "r").atom_name() for lin in ORACLE_ATOM_LINS)
-ORACLE_BOX = []  # each point of the box, with the value of each atom
-for _x, _y, _r in itertools.product(range(1, 9), range(1, 9), range(1, 5)):
-    _point = {"x": _x, "y": _y, "r": _r}
-    ORACLE_BOX.append({**_point, **{name: _r * lin.evaluate(_point) for name, lin in zip(ORACLE_NAMES[2:], ORACLE_ATOM_LINS)}})
+ORACLE_ATOMS = tuple(ExpExpr(lin, "r").atom_name() for lin in ORACLE_ATOM_LINS)
+ORACLE_NAMES = ("x", "y") + ORACLE_ATOMS
+
+
+def _oracle_point(x, y, r):
+    point = {"x": x, "y": y, "r": r}
+    return {**point, **{name: r * lin.evaluate(point) for name, lin in zip(ORACLE_ATOMS, ORACLE_ATOM_LINS)}}
+
+
+ORACLE_BOX = [_oracle_point(*p) for p in itertools.product(range(1, 9), range(1, 9), range(1, 5))]
 
 
 def _oracle_draw(rnd):
@@ -666,7 +674,8 @@ def _oracle_draw(rnd):
     for _ in range(rnd.randint(0, 2)):
         kind = rnd.choice(("residue", "fixed", "lower"))
         if kind == "residue":
-            cons = cons.with_residue(rnd.choice(ORACLE_NAMES), rnd.randint(2, 4), set(rnd.sample(range(4), rnd.randint(1, 2))))
+            allowed = set(rnd.sample(range(4), rnd.randint(1, 2)))
+            cons = cons.with_residue(rnd.choice(ORACLE_NAMES), rnd.randint(2, 4), allowed)
         elif kind == "fixed":
             cons = cons.with_fixed(rnd.choice(ORACLE_NAMES), rnd.randint(-1, 8))
         else:
