@@ -124,6 +124,8 @@ def _initial_context(cert: Certificate) -> Context:
         # every name an exponent uses, inside atoms too: the sieve reads their bounds
         for name in sorted(set().union(*(t.variables() for t in terms))):
             lb = int(cons.get("lower_bounds", {}).get(name, "1"))
+            if lb < 0:  # the sieve takes no variable bound below 0 from the verifier
+                raise _Invalid("$.equation", f"stated lower bound {lb} of {name} is below 0")
             ctx = ctx.with_fact(Lin.var(name) - lb)
         return ctx
     raise MalformedCertificateError("$.equation", f"unknown equation form {form!r}")
@@ -315,9 +317,10 @@ class _ProvenBounds(Mapping):
     The entries are those that proving every exponent's bound in term order
     gave: a bound counts when it is at least 1 and above the name's fixed
     value, or, for a name not fixed, at least 1 and above the bounds counted
-    before it.  A name with no counted bound is left to the sieve's own
-    default, as in the sieve run that found the kill: 1 for a variable,
-    and 0 for an exponent whose linear part it cannot bound.
+    before it.  A variable or symbol that is not fixed and has no counted
+    bound gets 0 when the facts prove it >= 0, as a stated lower bound of 0
+    does.  A name with no entry is left to the sieve's own default: 1 for a
+    variable, and 0 for an exponent whose linear part it cannot bound.
     """
 
     def __init__(self, ctx: Context, terms, cap: int):
@@ -329,12 +332,14 @@ class _ProvenBounds(Mapping):
         # it through a linear part's constant and an atom's offset, so it is
         # proved past cap by as much as they take away, up to _BOUND_SLACK_MAX.
         self._cap: dict[str, int] = {}
+        self._variables: set[str] = set()
         for t in terms:
             for p in t.powers:
                 e = p.exp
                 slack = min(max(0, -e.lin.const) + max(0, -e.off), _BOUND_SLACK_MAX)
                 named = [(ExpExpr(e.lin, e.sym), cap)]
                 named += [(ExpExpr(Lin.var(v)), cap + slack) for v in sorted(e.variables())]
+                self._variables |= e.variables()
                 for bare, name_cap in named:
                     name = bare.atom_name()
                     seen = self._bare.setdefault(name, [])
@@ -351,6 +356,9 @@ class _ProvenBounds(Mapping):
             floor = self._ctx.fixed[name] if name in self._ctx.fixed else bound or 0
             if lb > max(floor, 0):  # a 0 from exp_lower_bound proves nothing
                 bound = lb
+        if bound is None and name in self._variables and name not in self._ctx.fixed:
+            if self._ctx.implied(Lin.var(name)):
+                bound = 0
         return bound
 
     def __getitem__(self, name: str) -> int:

@@ -191,7 +191,8 @@ def run_entry(entry: CorpusEntry) -> EntryResult:
 
 
 def run_corpus(entries: list[CorpusEntry]) -> list[EntryResult]:
-    workers = pool_workers(max(e.x_max * e.y_max for e in entries)) if len(entries) > 1 else 1
+    pooled = [e.x_max * e.y_max for e in entries if FORMS[e.form].pools]
+    workers = pool_workers(max(pooled)) if pooled and len(entries) > 1 else 1
     if workers > 1:
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_entry, entries))

@@ -32,8 +32,13 @@ __all__ = [
 ]
 
 BOUND_MAX = 1_000  # largest x_max / y_max: a search's work grows with x_max * y_max
+# Largest power, in bits, a search may form: a base's bit length times its
+# largest exponent.  It bounds the size of each cell's integers, and of the
+# powers of b the general form keeps for the whole search.
+POWER_BITS_MAX = 1 << 14
 # Grid cells from which splitting rows over one process per CPU beats a single
-# process, measured on 2 CPUs: below it the pool's start-up costs more than it saves.
+# process, for the forms that pool, measured on 2 CPUs: below it the pool's
+# start-up costs more than it saves.
 POOL_MIN_CELLS = 250 * 250
 
 
@@ -62,16 +67,22 @@ class SelfCheckError(RuntimeError):
 
 
 def _scan_general(bases: tuple[int, ...], xs: range, y_max: int) -> list[tuple[int, int, int]]:
+    # Every solution has z >= 1, so c divides a^x + b^y: the y of each b^y are
+    # indexed by b^y mod c, and row x checks exactly only the y whose residue
+    # is -a^x mod c.  Each b^y is formed once per search.
     a, b, c = bases
+    powers = [1]  # b^y at index y
+    ys_of: dict[int, list[int]] = {}  # residue of b^y mod c -> its y, ascending
+    for y in range(1, y_max + 1):
+        powers.append(powers[-1] * b)
+        ys_of.setdefault(powers[y] % c, []).append(y)
     out = []
     ax = a ** xs.start
     for x in xs:
-        by = b
-        for y in range(1, y_max + 1):
-            z = is_perfect_power_of(ax + by, c)
+        for y in ys_of.get(-ax % c, ()):
+            z = is_perfect_power_of(ax + powers[y], c)
             if z is not None:
                 out.append((x, y, z))
-            by *= b
         ax *= a
     return out
 
@@ -105,8 +116,7 @@ def _holds_terai(bases: tuple[int, ...], sol: tuple[int, ...]) -> bool:
 
 
 def _scan_eisenstein(bases: tuple[int, ...], xs: range, y_max: int) -> list[tuple[int, int, int]]:
-    # the general form's loop with another sum; one shared loop taking the sum as a
-    # function would cost the general form a call per cell
+    # every cell builds its sum and checks it exactly
     a, b, c = bases
     out = []
     ax = a ** xs.start
@@ -135,9 +145,13 @@ def _eisenstein_condition(bases: tuple[int, ...]) -> None:
 
 class Form(Frozen):
     """One equation shape: how to scan its grid, re-check a solution and
-    print it.  The functions are module-level so a scan pickles to a worker."""
+    print it.  The functions are module-level so a scan pickles to a worker.
 
-    _fields = ("letters", "scan", "holds", "equation", "precondition", "exponents")
+    The grid's first exponent raises the first base and its second the
+    second base, to at most `power` times the exponent.
+    """
+
+    _fields = ("letters", "scan", "holds", "equation", "precondition", "exponents", "power", "pools")
 
     def __init__(
         self,
@@ -147,6 +161,8 @@ class Form(Frozen):
         equation: str,  # str.format template over the base letters
         precondition: Callable[[tuple[int, ...]], None] | None = None,  # raises ValueError
         exponents: tuple[int, ...] = (0, 1, 2),  # where a solution holds exponents, grid pair first
+        power: int = 1,
+        pools: bool = True,  # rows go to a process pool from POOL_MIN_CELLS cells up
     ):
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "scan", scan)
@@ -154,10 +170,13 @@ class Form(Frozen):
         object.__setattr__(self, "equation", equation)
         object.__setattr__(self, "precondition", precondition)
         object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "pools", pools)
 
 
 FORMS = {
-    "general": Form("abc", _scan_general, _holds_general, "{a}^x + {b}^y = {c}^z"),
+    # the residue index leaves too few exact checks for a pool to pay its start-up
+    "general": Form("abc", _scan_general, _holds_general, "{a}^x + {b}^y = {c}^z", pools=False),
     "terai": Form("bc", _scan_terai, _holds_terai, "x^2 + {b}^m = {c}^n", exponents=(1, 2)),
     "eisenstein": Form(
         "abc",
@@ -165,6 +184,7 @@ FORMS = {
         _holds_eisenstein,
         "{a}^2x + {a}^x*{b}^y + {b}^2y = {c}^z",
         precondition=_eisenstein_condition,
+        power=2,
     ),
 }
 
@@ -216,6 +236,9 @@ def check_instance(bases: tuple[int, ...], x_max: int, y_max: int, form: str) ->
         spec.precondition(bases)
     if x_max < 1 or y_max < 1:
         raise ValueError("bounds must be >= 1")
+    bits = spec.power * max(x_max * bases[0].bit_length(), y_max * bases[1].bit_length())
+    if bits > POWER_BITS_MAX:
+        raise ValueError(f"the grid forms a {bits}-bit power, above the limit of {POWER_BITS_MAX} bits")
     return spec
 
 
@@ -243,7 +266,7 @@ def find_solutions(
     bases = tuple(bases)
     spec = check_instance(bases, x_max, y_max, form)
     start = time.perf_counter()
-    workers = pool_workers(x_max * y_max)
+    workers = pool_workers(x_max * y_max) if spec.pools else 1
     if workers > 1:
         chunk = (x_max + workers - 1) // workers
         rows = [range(lo, min(lo + chunk, x_max + 1)) for lo in range(1, x_max + 1, chunk)]

@@ -705,6 +705,10 @@ def find_killing_modulus(
     if order_cap < 1:
         raise SieveError(f"order_cap must be >= 1, got {order_cap}")
     constraints = constraints or ConstraintSet.none()
+    # a certificate states lower bounds per variable, so a kill may rest on no other
+    for name in constraints.lower_bounds:
+        if not name.isidentifier():
+            raise SieveError(f"lower bound on {name!r}: a certificate states lower bounds on variables only")
     scanned: list[int] = []
     skipped: list[tuple[int, str]] = []
     for m in range(2, m_max + 1):

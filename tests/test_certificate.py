@@ -25,7 +25,7 @@ from jesma.certificate.ineq import IneqClaim, claim_from_json
 from jesma.certificate.model import MAX_TREE_DEPTH, Node, terms_to_json
 from jesma.cli import main
 from jesma.search import find_solutions_scaled
-from jesma.sieve import ConstraintSet
+from jesma.sieve import ConstraintSet, SieveError, find_killing_modulus
 from jesma.symbolic import ExpExpr, Lin, Term
 from jesma.triples import Triple
 
@@ -297,6 +297,46 @@ def test_cli_rejects_the_kill_of_a_solvable_congruence(tmp_path, capsys):
     out, _ = capsys.readouterr()
     verdicts = [line.strip() for line in out.splitlines() if "invalid" in line]
     assert len(verdicts) == 1 and verdicts[0].startswith(f"invalid at $.tree: {_NEGATIVE_EXPONENT_REASON}  (")
+
+
+# 2^x == 1 (mod 2) at x = 0, which a stated lower bound of 0 lets in: the
+# verifier must pass the sieve that 0, not the default bound 1 of a variable
+_ZERO_BOUND_KILL = [Term.of(1, (2, ExpExpr(Lin.var("x")))), Term.of(-1)]
+_ZERO_BOUND = ConstraintSet.none().with_lower_bound("x", 0)
+_ZERO_BOUND_REASON = "congruence not checkable: term 2^x has a non-unit base modulo 2 and does not vanish"
+
+
+def test_kill_under_a_stated_bound_of_0_is_rejected():
+    assert find_killing_modulus(_ZERO_BOUND_KILL, _ZERO_BOUND, 2).modulus is None
+    cert = killing_certificate(_ZERO_BOUND_KILL, _ZERO_BOUND, 2)
+    verdict = verify_certificate(loads_certificate(dumps_certificate(cert)))
+    assert (verdict.valid, verdict.path, verdict.reason) == (False, "$.tree", _ZERO_BOUND_REASON)
+
+
+def test_cli_rejects_the_kill_under_a_stated_bound_of_0(tmp_path, capsys):
+    f = tmp_path / "zero.cert.json"
+    f.write_text(dumps_certificate(killing_certificate(_ZERO_BOUND_KILL, _ZERO_BOUND, 2)))
+    assert main(["verify", str(f)]) == 1
+    out, _ = capsys.readouterr()
+    assert f"invalid at $.tree: {_ZERO_BOUND_REASON}  (" in out
+
+
+def test_stated_bound_below_0_is_rejected():
+    cons = ConstraintSet.none().with_lower_bound("x", -1)
+    verdict = verify_certificate(killing_certificate(_ZERO_BOUND_KILL, cons, 2))
+    assert (verdict.valid, verdict.path, verdict.reason) == (
+        False, "$.equation", "stated lower bound -1 of x is below 0"
+    )
+
+
+def test_kill_scan_refuses_a_lower_bound_on_an_atom():
+    # the sieve would read the bound of r*(x) as a hint and kill mod 4, but a
+    # certificate states bounds per variable, so the kill could not verify
+    terms = [Term.of(1, (2, ExpExpr(Lin.var("x"), "r", -1))), Term.of(1, (9, ExpExpr(Lin.var("y")))), Term.of(1)]
+    cons = ConstraintSet.none().with_lower_bound("r*(x)", 3)
+    with pytest.raises(SieveError) as info:
+        find_killing_modulus(terms, cons, 10)
+    assert str(info.value) == "lower bound on 'r*(x)': a certificate states lower bounds on variables only"
 
 
 def test_certificate_agrees_with_search():

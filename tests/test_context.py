@@ -166,6 +166,10 @@ def _eager_sieve_constraints(ctx: Context, terms, m: int) -> ConstraintSet:
         floor = cons.fixed[name] if name in cons.fixed else cons.lower_bounds.get(name, 0)
         if lb > max(floor, 0):
             cons = cons.with_lower_bound(name, lb)
+    # a variable or symbol left without a bound gets 0 where the facts prove it
+    for name in sorted(set().union(*(t.variables() for t in terms))):
+        if name not in cons.fixed and name not in cons.lower_bounds and ctx.implied(Lin.var(name)):
+            cons = cons.with_lower_bound(name, 0)
     return cons
 
 

@@ -13,7 +13,7 @@ from jesma.corpus import (
     run_entry,
 )
 from jesma.record import replace
-from jesma.search import BOUND_MAX
+from jesma.search import BOUND_MAX, POWER_BITS_MAX
 
 
 def test_default_corpus_loads_clean():
@@ -50,11 +50,13 @@ def test_non_array_corpus_rejected():
 
 def test_parallel_run_matches_serial(request):
     entries, _ = load_default_corpus()
-    subset = entries[:12]
+    subset = entries[:6] + [e for e in entries if e.form != "general"]  # terai and eisenstein pool
     serial = run_corpus(subset)
     started = request.getfixturevalue("force_pool")
     parallel = run_corpus(subset)
     assert started == [3]
+    # entries that all search the general form start no pool
+    assert all(r.passed for r in run_corpus(entries[:12])) and started == [3]
     assert [(r.entry_id, r.passed, r.detail) for r in serial] == [
         (r.entry_id, r.passed, r.detail) for r in parallel
     ]
@@ -111,10 +113,12 @@ GOOD = {"form": "general", "bases": ["3", "2", "5"], "x_max": "5", "y_max": "5",
          "expected solution (2, 11, 1) lies outside the grid [1, 10] x [1, 10]"),
         ({"form": "general", "bases": ["3", "2", "5"], "expected": [["1", "1", "300000000"]]},
          f"expected solution (1, 1, 300000000) forms a power over {EXPECTED_BITS_MAX} bits"),
+        ({"form": "general", "bases": ["1048576", "3", "5"], "x_max": "1000"},
+         f"the grid forms a 21000-bit power, above the limit of {POWER_BITS_MAX} bits"),
     ],
     ids=["x_max-0", "m_max-negative", "base-1", "eisenstein-condition", "k-0", "expected-arity",
          "k_range-empty", "k_range-wide", "bound-cap", "expected-off-grid", "terai-off-grid",
-         "expected-bits"],
+         "expected-bits", "power-bits"],
 )
 def test_invalid_instance_is_malformed_entry(tmp_path, capsys, request, bad, reason, pool):
     request.getfixturevalue(pool)

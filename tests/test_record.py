@@ -59,8 +59,10 @@ SAMPLES = [
     (_EvalPower, dict(base=2, order=16, exp=EX, atom=None), dict(base=3, order=8, exp=EY, atom="r*(y)")),
     (KillingWitness, dict(modulus=17, solutions=RCS, scanned=(2, 17), skipped=((4, "order too large"),)),
      dict(modulus=None, solutions=None, scanned=(), skipped=())),
-    (Form, dict(letters="abc", scan=G.scan, holds=G.holds, equation="{a}^x", precondition=None, exponents=(0, 1, 2)),
-     dict(letters="bc", scan=T.scan, holds=T.holds, equation="{b}^m", precondition=print, exponents=(1, 2))),
+    (Form, dict(letters="abc", scan=G.scan, holds=G.holds, equation="{a}^x", precondition=None, exponents=(0, 1, 2),
+                power=1, pools=False),
+     dict(letters="bc", scan=T.scan, holds=T.holds, equation="{b}^m", precondition=print, exponents=(1, 2),
+          power=2, pools=True)),
     (
         SearchReport,
         dict(form="general", bases=(3, 2, 5), x_max=10, y_max=12, solutions=((1, 1, 1),), candidates=120,
@@ -186,7 +188,8 @@ def test_defaults_and_fresh_factories():
     assert vars(Verdict(True)) == {"valid": True, "path": "", "reason": ""}
     assert SearchReport("general", (3, 2, 5), 1, 1, (), 1).elapsed == 0.0
     assert EntryResult("a", True, "").elapsed == 0.0
-    assert (Form("a", len, len, "").precondition, Form("a", len, len, "").exponents) == (None, (0, 1, 2))
+    form = Form("a", len, len, "")
+    assert (form.precondition, form.exponents, form.power, form.pools) == (None, (0, 1, 2), 1, True)
     entry = CorpusEntry("a", "general", frozenset(), ())
     assert (entry.triple, entry.x_max, entry.y_max) == (None, 30, 30)
     assert KFactoredForm(*[None] * 8).contradiction is None

@@ -7,12 +7,17 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import jesma
+from jesma import search
+from jesma.arith import is_perfect_power_of, radical
 from jesma.search import (
+    BOUND_MAX,
     POOL_MIN_CELLS,
     DegenerateBaseError,
     SelfCheckError,
+    check_instance,
     find_solutions,
     find_solutions_scaled,
     pool_workers,
@@ -88,6 +93,104 @@ def test_matches_brute_force_oracle():
         done += 1
 
 
+def reference_scan(bases, xs, y_max):
+    """The general form's per-cell scan: every cell builds a^x + b^y and checks it."""
+    a, b, c = bases
+    out = []
+    ax = a**xs.start
+    for x in xs:
+        by = b
+        for y in range(1, y_max + 1):
+            z = is_perfect_power_of(ax + by, c)
+            if z is not None:
+                out.append((x, y, z))
+            by *= b
+        ax *= a
+    return out
+
+
+def _scan_bases(rnd):
+    """Bases from 2 to 300: random, c | a, c | b, degenerate (every prime of c
+    divides a and b), or c = 2."""
+    kind = rnd.choice(("random", "c|a", "c|b", "degenerate", "c=2"))
+    a, b, c = (rnd.randint(2, 300) for _ in range(3))
+    if kind == "c|a":
+        c = rnd.randint(2, 150)
+        a = c * rnd.randint(1, 300 // c)
+    elif kind == "c|b":
+        c = rnd.randint(2, 150)
+        b = c * rnd.randint(1, 300 // c)
+    elif kind == "degenerate":
+        c = rnd.randint(2, 300)
+        rad = radical(c)
+        a, b = (rad * rnd.randint(1, 300 // rad) for _ in range(2))
+        a, b = max(a, 2), max(b, 2)
+    elif kind == "c=2":
+        c = 2
+    return a, b, c
+
+
+@seed(2020)
+@settings(deadline=None)
+@given(st.integers(0, 2**64))
+def test_residue_scan_matches_per_cell_scan(draw_seed):
+    """The general scan checks exactly the cells where c divides a^x + b^y,
+    each once, and finds what the per-cell scan finds, also on rows from
+    above 1."""
+    rnd = random.Random(draw_seed)
+    checked = []
+
+    def counted(s, base):
+        checked.append(s)
+        return is_perfect_power_of(s, base)
+
+    for _ in range(20):
+        (a, b, c) = bases = _scan_bases(rnd)
+        lo = rnd.randint(1, 8)
+        xs = range(lo, lo + rnd.randint(0, 10))
+        y_max = rnd.randint(1, 12)
+        checked.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "is_perfect_power_of", counted)
+            found = search._scan_general(bases, xs, y_max)
+        sums = [a**x + b**y for x in xs for y in range(1, y_max + 1)]
+        assert sorted(checked) == sorted(s for s in sums if s % c == 0), (bases, xs, y_max)
+        assert found == reference_scan(bases, xs, y_max), (bases, xs, y_max)
+
+
+def test_general_search_checks_exactly_one_cell_in_a_hundred(monkeypatch):
+    # (40, 198, 202) at 600 x 600: c divides a^x + b^y in 3,600 cells, the
+    # only ones given an exact check; the per-cell scan checks all 360,000
+    calls = []
+
+    def counted(s, base):
+        calls.append(s)
+        return is_perfect_power_of(s, base)
+
+    monkeypatch.setattr("jesma.search.is_perfect_power_of", counted)
+    assert find_solutions((40, 198, 202), 600, 600).solutions == ((2, 2, 2),)
+    assert len(calls) == 3_600
+
+
+def test_search_refuses_a_power_over_the_bit_limit():
+    # a = 10^3000 + 7 has 9,966 bits: its 80 x 80 grid took seconds before the limit
+    with pytest.raises(ValueError, match=r"^the grid forms a 797280-bit power, above the limit of 16384 bits$"):
+        find_solutions((10**3000 + 7, 2, 3), 80, 80)
+    # each grid exponent raises its own base, twice over for eisenstein
+    for form, bases, bounds, bits in [
+        ("general", (2**20, 3, 5), (1000, 1), 21_000),
+        ("general", (3, 2**20, 5), (1, 1000), 21_000),
+        ("terai", (2**20, 3), (1000, 1), 21_000),  # m against b
+        ("terai", (3, 2**20), (1, 1000), 21_000),  # n against c
+        ("eisenstein", (391, 129, 469), (1000, 1000), 18_000),
+    ]:
+        with pytest.raises(ValueError, match=f"a {bits}-bit power"):
+            check_instance(bases, *bounds, form)
+    check_instance((391, 129, 469), 900, 900, "eisenstein")  # 16,200 bits
+    # the limit sits above the largest benchmark grid's powers, k = 64, also at BOUND_MAX
+    check_instance((20 * 64, 99 * 64, 101 * 64), BOUND_MAX, BOUND_MAX, "general")
+
+
 def test_monotone_in_bounds():
     small = find_solutions((7, 2, 3), 4, 4).solution_set()
     large = find_solutions((7, 2, 3), 30, 30).solution_set()
@@ -116,7 +219,7 @@ def test_parallel_matches_serial(request):
     serial = [find_solutions(bases, 25, 25, form=form).solutions for form, bases in INSTANCES]
     started = request.getfixturevalue("force_pool")
     parallel = [find_solutions(bases, 25, 25, form=form).solutions for form, bases in INSTANCES]
-    assert started == [3, 3, 3]
+    assert started == [3, 3]  # terai and eisenstein pool; the general form starts no pool
     assert parallel == serial and all(serial)
 
 
@@ -125,8 +228,10 @@ def test_small_grids_start_no_pool(no_pool):
     for form, bases in INSTANCES:
         assert find_solutions(bases, side, side, form=form).solutions
     assert find_solutions((340, 1683, 1717)).solutions == ((2, 2, 2),)  # the default 30 x 30
+    # the general form runs in this process at every size
+    assert find_solutions((340, 1683, 1717), BOUND_MAX, BOUND_MAX).solutions == ((2, 2, 2),)
     with pytest.raises(AssertionError, match="process pool"):
-        find_solutions((3, 2, 5), side + 1, side + 1)
+        find_solutions((3, 5, 7), side + 1, side + 1, form="eisenstein")
 
 
 def test_search_in_pool_worker_runs_serial(monkeypatch):
@@ -170,14 +275,15 @@ import jesma.cli
 from jesma import corpus, search
 POOL = ("concurrent.futures.process", "multiprocessing")
 print(*(m in sys.modules for m in POOL))
-serial = search.find_solutions((340, 1683, 1717), 249, 249)  # below the crossover
-print(*(m in sys.modules for m in POOL))
 os.cpu_count = lambda: 2  # pool on any machine
-pooled = search.find_solutions((340, 1683, 1717), 250, 250)
+general = search.find_solutions((340, 1683, 1717), 1000, 1000)  # the general form never pools
+serial = search.find_solutions((3, 5), 249, 249, form="terai")  # below the crossover
+print(*(m in sys.modules for m in POOL))
+pooled = search.find_solutions((3, 5), 250, 250, form="terai")
 print(*(m in sys.modules for m in POOL))
 # the pooled branch looked the class up on the module, which cached it there
 print("ProcessPoolExecutor" in vars(search), "ProcessPoolExecutor" in vars(corpus))
-print(pooled.solutions == serial.solutions == ((2, 2, 2),))
+print(general.solutions == ((2, 2, 2),), pooled.solutions == serial.solutions == ((4, 2, 2),))
 """
 
 
@@ -193,7 +299,7 @@ def test_pool_modules_load_on_the_first_pooled_search():
         "False False",
         "True True",
         "True False",
-        "True",
+        "True True",
     ]
 
 

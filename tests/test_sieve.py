@@ -640,8 +640,9 @@ def test_scan_record_matches_full_enumeration(m_max, z_even):
 
 # -- soundness oracle -----------------------------------------------------------
 # Random killing certificates over x, y and atoms r*(lin), with moduli 2-24.
-# Each one that verifies is checked by brute force on the box x, y in 1..8,
-# r in 1..4, at the points of the certificate's domain: every constraint
+# Each one that verifies is checked by brute force on the box x, y in 0..8,
+# r in 0..4, at the points of the certificate's domain: x, y and r are at
+# least their stated lower bounds (1 when none is stated), every constraint
 # holds and every exponent is >= 0.  No such point may solve the congruence.
 
 ORACLE_ATOM_LINS = (Lin.var("x"), Lin.of(0, x=1, y=-1), Lin.of(-1, y=1))
@@ -654,7 +655,7 @@ def _oracle_point(x, y, r):
     return {**point, **{name: r * lin.evaluate(point) for name, lin in zip(ORACLE_ATOMS, ORACLE_ATOM_LINS)}}
 
 
-ORACLE_BOX = [_oracle_point(*p) for p in itertools.product(range(1, 9), range(1, 9), range(1, 5))]
+ORACLE_BOX = [_oracle_point(*p) for p in itertools.product(range(9), range(9), range(5))]
 
 
 def _oracle_draw(rnd):
@@ -679,7 +680,7 @@ def _oracle_draw(rnd):
         elif kind == "fixed":
             cons = cons.with_fixed(rnd.choice(ORACLE_NAMES), rnd.randint(-1, 8))
         else:
-            cons = cons.with_lower_bound(rnd.choice(("x", "y", "r")), rnd.randint(1, 4))
+            cons = cons.with_lower_bound(rnd.choice(("x", "y", "r")), rnd.randint(0, 2))
     return terms, cons, rnd.randint(2, 24)
 
 
@@ -687,7 +688,7 @@ def _oracle_solution(terms, cons, m):
     """A point of the box in the certificate's domain that solves the
     congruence mod m, or None."""
     for values in ORACLE_BOX:
-        if any(values[n] < b for n, b in cons.lower_bounds.items()):
+        if any(values[n] < cons.lower_bounds.get(n, 1) for n in ("x", "y", "r")):
             continue
         if any(values[n] != f for n, f in cons.fixed.items()):
             continue
