@@ -33,9 +33,13 @@ __all__ = [
 
 BOUND_MAX = 1_000  # largest x_max / y_max: a search's work grows with x_max * y_max
 # Largest power, in bits, a search may form: a base's bit length times its
-# largest exponent.  It bounds the size of each cell's integers, and of the
-# powers of b the general form keeps for the whole search.
+# largest exponent.  It bounds the size of each cell's integers.
 POWER_BITS_MAX = 1 << 14
+# The general form tests each cell's sum against c^z modulo this prime, the
+# largest below 2^64, before it checks the sum exactly.  2 has order 61
+# modulo the Mersenne prime 2^61 - 1, which would pass every cell of
+# 2^x + 2^y = 2^z with x = y mod 61; here 2 to 10 all have order over 2^61.
+WORD_PRIME = (1 << 64) - 59
 # Grid cells from which splitting rows over one process per CPU beats a single
 # process, for the forms that pool, measured on 2 CPUs: below it the pool's
 # start-up costs more than it saves.
@@ -67,22 +71,36 @@ class SelfCheckError(RuntimeError):
 
 
 def _scan_general(bases: tuple[int, ...], xs: range, y_max: int) -> list[tuple[int, int, int]]:
-    # Every solution has z >= 1, so c divides a^x + b^y: the y of each b^y are
-    # indexed by b^y mod c, and row x checks exactly only the y whose residue
-    # is -a^x mod c.  Each b^y is formed once per search.
+    # Every solution has z >= 1, so c divides a^x + b^y: the y are indexed by
+    # b^y mod c, and row x looks only at the y whose residue is -a^x mod c.
+    # The sum is at most twice max(a^x, b^y), so c^z is above that max and
+    # c^(z-1) is not: z is the larger of the two sides' ceilings, the least
+    # z with c^z above the side's power.  A cell whose sum differs from c^z
+    # modulo WORD_PRIME is no solution; only the rest are checked exactly,
+    # with b^y formed again.
     a, b, c = bases
-    powers = [1]  # b^y at index y
-    ys_of: dict[int, list[int]] = {}  # residue of b^y mod c -> its y, ascending
+    # b^y mod c -> (y, b^y mod WORD_PRIME, ceiling zb of b^y, c^zb mod WORD_PRIME), y ascending
+    ys_of: dict[int, list[tuple[int, int, int, int]]] = {}
+    by, cz, zb, cz_mod = 1, 1, 0, 1  # cz = c^zb
     for y in range(1, y_max + 1):
-        powers.append(powers[-1] * b)
-        ys_of.setdefault(powers[y] % c, []).append(y)
+        by *= b
+        while cz <= by:
+            cz, zb, cz_mod = cz * c, zb + 1, cz_mod * c % WORD_PRIME
+        ys_of.setdefault(by % c, []).append((y, by % WORD_PRIME, zb, cz_mod))
     out = []
     ax = a ** xs.start
+    cz, za, cz_mod = 1, 0, 1  # the same for a^x, advanced only on rows with candidates
     for x in xs:
-        for y in ys_of.get(-ax % c, ()):
-            z = is_perfect_power_of(ax + powers[y], c)
-            if z is not None:
-                out.append((x, y, z))
+        ys = ys_of.get(-ax % c)
+        if ys:
+            while cz <= ax:
+                cz, za, cz_mod = cz * c, za + 1, cz_mod * c % WORD_PRIME
+            ax_mod = ax % WORD_PRIME
+            for y, by_mod, zb, czb_mod in ys:
+                if (ax_mod + by_mod) % WORD_PRIME == (cz_mod if za >= zb else czb_mod):
+                    z = is_perfect_power_of(ax + b**y, c)
+                    if z is not None:
+                        out.append((x, y, z))
         ax *= a
     return out
 

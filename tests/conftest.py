@@ -6,6 +6,14 @@ from hypothesis import settings
 POOL_MODULES = ("jesma.search", "jesma.corpus")
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--full-factorizations",
+        action="store_true",
+        help="test_criterion_6_factorizations checks every n <= 10^6, not 10^5",
+    )
+
+
 @pytest.fixture
 def no_pool(monkeypatch):
     """Any process pool search or corpus starts raises; the machine reports 4 CPUs."""

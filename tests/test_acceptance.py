@@ -188,7 +188,22 @@ def test_criterion_6_property_suites():
                 assert pow(a, d, m) == 1
                 assert all(pow(a, q, m) != 1 for q in range(1, d))
 
-    n_top = 10**6
+    for base in range(2, 1001):
+        power = 1
+        for z in range(1, 41):
+            power *= base
+            assert is_perfect_power_of(power, base) == z
+    _ok(
+        "criterion 6: parity/ordering filters hold on the corpus; search matches "
+        "the 3-loop oracle on 50 random instances; arithmetic invariants hold "
+        "(orders m<=500 exhaustive, powers to 1000^40)"
+    )
+
+
+def test_criterion_6_factorizations(request):
+    # tier-1 checks every n <= 10^5; `pytest --full-factorizations`, a CI
+    # step, checks every n <= 10^6
+    n_top = 10**6 if request.config.getoption("--full-factorizations") else 10**5
     spf = list(range(n_top + 1))
     i = 2
     while i * i <= n_top:
@@ -211,14 +226,4 @@ def test_criterion_6_property_suites():
         rad = f.radical()
         assert n % rad == 0
         assert all(e == 1 for _, e in factorize(rad).pairs)
-
-    for base in range(2, 1001):
-        power = 1
-        for z in range(1, 41):
-            power *= base
-            assert is_perfect_power_of(power, base) == z
-    _ok(
-        "criterion 6: parity/ordering filters hold on the corpus; search matches "
-        "the 3-loop oracle on 50 random instances; arithmetic invariants hold "
-        "(orders m<=500 exhaustive, factorizations to 10^6, powers to 1000^40)"
-    )
+    _ok(f"criterion 6: factorization and radical of every n <= {n_top:,} match a smallest-prime-factor sieve")

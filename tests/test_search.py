@@ -111,8 +111,10 @@ def reference_scan(bases, xs, y_max):
 
 def _scan_bases(rnd):
     """Bases from 2 to 300: random, c | a, c | b, degenerate (every prime of c
-    divides a and b), or c = 2."""
-    kind = rnd.choice(("random", "c|a", "c|b", "degenerate", "c=2"))
+    divides a and b), c = 2, or powers of 2, whose solutions have
+    a^x = b^y = c^(z-1).  Or small multiples of the word prime, so that every
+    cell that passes the residue test passes the word test too."""
+    kind = rnd.choice(("random", "c|a", "c|b", "degenerate", "c=2", "2^i", "P|abc"))
     a, b, c = (rnd.randint(2, 300) for _ in range(3))
     if kind == "c|a":
         c = rnd.randint(2, 150)
@@ -127,16 +129,37 @@ def _scan_bases(rnd):
         a, b = max(a, 2), max(b, 2)
     elif kind == "c=2":
         c = 2
+    elif kind == "2^i":
+        a, b, c = 2 ** rnd.randint(1, 6), 2 ** rnd.randint(1, 6), 2 ** rnd.randint(1, 2)
+    elif kind == "P|abc":
+        # (3, 4, 5) scaled by P has the solution (2, 2, 2)
+        ratios = rnd.choice(((3, 4, 5), tuple(rnd.randint(1, 5) for _ in range(3))))
+        a, b, c = (search.WORD_PRIME * r for r in ratios)
     return a, b, c
+
+
+def word_survivors(a, b, c, xs, y_max):
+    """The sums a^x + b^y that c divides and that equal c^z modulo the word
+    prime, z the least with c^z > max(a^x, b^y): the cells checked exactly."""
+    out = []
+    for x in xs:
+        for y in range(1, y_max + 1):
+            z = 1
+            while c**z <= max(a**x, b**y):
+                z += 1
+            s = a**x + b**y
+            if s % c == 0 and s % search.WORD_PRIME == pow(c, z, search.WORD_PRIME):
+                out.append(s)
+    return out
 
 
 @seed(2020)
 @settings(deadline=None)
 @given(st.integers(0, 2**64))
 def test_residue_scan_matches_per_cell_scan(draw_seed):
-    """The general scan checks exactly the cells where c divides a^x + b^y,
-    each once, and finds what the per-cell scan finds, also on rows from
-    above 1."""
+    """The general scan checks exactly the cells where c divides a^x + b^y
+    and the sum is c^z modulo the word prime, each once, and finds what the
+    per-cell scan finds, also on rows from above 1."""
     rnd = random.Random(draw_seed)
     checked = []
 
@@ -153,14 +176,11 @@ def test_residue_scan_matches_per_cell_scan(draw_seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "is_perfect_power_of", counted)
             found = search._scan_general(bases, xs, y_max)
-        sums = [a**x + b**y for x in xs for y in range(1, y_max + 1)]
-        assert sorted(checked) == sorted(s for s in sums if s % c == 0), (bases, xs, y_max)
+        assert sorted(checked) == sorted(word_survivors(a, b, c, xs, y_max)), (bases, xs, y_max)
         assert found == reference_scan(bases, xs, y_max), (bases, xs, y_max)
 
 
-def test_general_search_checks_exactly_one_cell_in_a_hundred(monkeypatch):
-    # (40, 198, 202) at 600 x 600: c divides a^x + b^y in 3,600 cells, the
-    # only ones given an exact check; the per-cell scan checks all 360,000
+def test_general_search_checks_exactly_only_solutions(monkeypatch):
     calls = []
 
     def counted(s, base):
@@ -168,8 +188,19 @@ def test_general_search_checks_exactly_one_cell_in_a_hundred(monkeypatch):
         return is_perfect_power_of(s, base)
 
     monkeypatch.setattr("jesma.search.is_perfect_power_of", counted)
+    # (40, 198, 202) at 600 x 600: c divides a^x + b^y in 3,600 cells, and
+    # only (2, 2) is also c^z modulo the word prime; the per-cell scan
+    # checks all 360,000
     assert find_solutions((40, 198, 202), 600, 600).solutions == ((2, 2, 2),)
-    assert len(calls) == 3_600
+    assert len(calls) == 1
+    # every prime of c = 10201 = 101^2 divides a = 2020 and b = 9999, and c
+    # divides the sum in 89,401 of the 90,000 cells at 300 x 300
+    calls.clear()
+    assert find_solutions((2020, 9999, 10201), 300, 300).solutions == ((2, 2, 2),)
+    assert len(calls) == 1
+    # 2^x + 2^y = 2^z holds at every (x, x, x + 1): one exact check each
+    calls.clear()
+    assert len(find_solutions((2, 2, 2), 300, 300).solutions) == len(calls) == 300
 
 
 def test_search_refuses_a_power_over_the_bit_limit():
