@@ -91,7 +91,7 @@ def _instance_from_args(args) -> tuple[str, tuple[int, ...], tuple[int, int]]:
     if args.family:
         make, params = FAMILIES[args.family]
         t = make(*_flags(args, params, f"--family {args.family}"))
-    elif args.u and args.v and args.w:
+    elif args.u is not None and args.v is not None and args.w is not None:
         t = Triple(args.u, args.v, args.w)
     else:
         raise ValueError("give --family plus its parameters, or --u/--v/--w")

@@ -12,12 +12,11 @@ corpus cannot silently drift and an invalid entry is a diagnostic.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from importlib import resources
 
 from .record import Frozen
-from .search import FORMS, check_instance, find_solutions, pool_workers, scaled_bases
+from .search import FORMS, check_instance, find_solutions, scaled_bases
 from .triples import FAMILIES, Triple
 
 __all__ = ["CorpusEntry", "CorpusError", "load_corpus", "load_default_corpus", "run_corpus", "run_entry"]
@@ -30,12 +29,11 @@ EXPECTED_BITS_MAX = 1 << 20  # largest power, in bits, formed to re-verify an ex
 
 
 def __getattr__(name: str):
-    # the process pool loads on the first pooled run, as in jesma.search
+    # kept, as in jesma.search, only for the benchmark tracer's lookup
     if name != "ProcessPoolExecutor":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from concurrent.futures import ProcessPoolExecutor
 
-    globals()[name] = ProcessPoolExecutor
     return ProcessPoolExecutor
 
 
@@ -191,9 +189,4 @@ def run_entry(entry: CorpusEntry) -> EntryResult:
 
 
 def run_corpus(entries: list[CorpusEntry]) -> list[EntryResult]:
-    pooled = [e.x_max * e.y_max for e in entries if FORMS[e.form].pools]
-    workers = pool_workers(max(pooled)) if pooled and len(entries) > 1 else 1
-    if workers > 1:
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_entry, entries))
     return [run_entry(e) for e in entries]

@@ -9,11 +9,8 @@ third exponent never needs its own bound because the grid cell fixes it.
 from __future__ import annotations
 
 import math
-import os
-import sys
 import time
 from collections.abc import Callable
-from itertools import repeat
 
 from .arith import is_perfect_power_of
 from .record import Frozen
@@ -35,25 +32,20 @@ BOUND_MAX = 1_000  # largest x_max / y_max: a search's work grows with x_max * y
 # Largest power, in bits, a search may form: a base's bit length times its
 # largest exponent.  It bounds the size of each cell's integers.
 POWER_BITS_MAX = 1 << 14
-# The general form tests each cell's sum against c^z modulo this prime, the
-# largest below 2^64, before it checks the sum exactly.  2 has order 61
-# modulo the Mersenne prime 2^61 - 1, which would pass every cell of
+# The general and eisenstein forms test a cell's sum against c^z modulo this
+# prime, the largest below 2^64, before they check the sum exactly.  2 has
+# order 61 modulo the Mersenne prime 2^61 - 1, which would pass every cell of
 # 2^x + 2^y = 2^z with x = y mod 61; here 2 to 10 all have order over 2^61.
 WORD_PRIME = (1 << 64) - 59
-# Grid cells from which splitting rows over one process per CPU beats a single
-# process, for the forms that pool, measured on 2 CPUs: below it the pool's
-# start-up costs more than it saves.
-POOL_MIN_CELLS = 250 * 250
 
 
 def __getattr__(name: str):
-    # PEP 562, as concurrent.futures itself does: the process pool's modules
-    # load on the first pooled search, not with every command.
+    # Nothing pools; the benchmark tracer (perfbench/tracing.py) still looks
+    # this class up here with no default, so the lookup imports it (PEP 562).
     if name != "ProcessPoolExecutor":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from concurrent.futures import ProcessPoolExecutor
 
-    globals()[name] = ProcessPoolExecutor
     return ProcessPoolExecutor
 
 
@@ -70,7 +62,21 @@ class SelfCheckError(RuntimeError):
     so the check also runs under python -O."""
 
 
-def _scan_general(bases: tuple[int, ...], xs: range, y_max: int) -> list[tuple[int, int, int]]:
+def _index_powers(b: int, c: int, y_max: int, square: bool) -> dict[int, list[tuple[int, int, int, int]]]:
+    # b^y mod c -> (y, b^y mod WORD_PRIME, zb, c^zb mod WORD_PRIME), y ascending,
+    # for the ceiling zb: the least with c^zb above b^y, or above its square
+    ys_of: dict[int, list[tuple[int, int, int, int]]] = {}
+    by, cz, zb, cz_mod = 1, 1, 0, 1  # cz = c^zb
+    for y in range(1, y_max + 1):
+        by *= b
+        top = by * by if square else by
+        while cz <= top:
+            cz, zb, cz_mod = cz * c, zb + 1, cz_mod * c % WORD_PRIME
+        ys_of.setdefault(by % c, []).append((y, by % WORD_PRIME, zb, cz_mod))
+    return ys_of
+
+
+def _scan_general(bases: tuple[int, ...], x_max: int, y_max: int) -> list[tuple[int, int, int]]:
     # Every solution has z >= 1, so c divides a^x + b^y: the y are indexed by
     # b^y mod c, and row x looks only at the y whose residue is -a^x mod c.
     # The sum is at most twice max(a^x, b^y), so c^z is above that max and
@@ -79,18 +85,11 @@ def _scan_general(bases: tuple[int, ...], xs: range, y_max: int) -> list[tuple[i
     # modulo WORD_PRIME is no solution; only the rest are checked exactly,
     # with b^y formed again.
     a, b, c = bases
-    # b^y mod c -> (y, b^y mod WORD_PRIME, ceiling zb of b^y, c^zb mod WORD_PRIME), y ascending
-    ys_of: dict[int, list[tuple[int, int, int, int]]] = {}
-    by, cz, zb, cz_mod = 1, 1, 0, 1  # cz = c^zb
-    for y in range(1, y_max + 1):
-        by *= b
-        while cz <= by:
-            cz, zb, cz_mod = cz * c, zb + 1, cz_mod * c % WORD_PRIME
-        ys_of.setdefault(by % c, []).append((y, by % WORD_PRIME, zb, cz_mod))
+    ys_of = _index_powers(b, c, y_max, False)
     out = []
-    ax = a ** xs.start
-    cz, za, cz_mod = 1, 0, 1  # the same for a^x, advanced only on rows with candidates
-    for x in xs:
+    ax = a
+    cz, za, cz_mod = 1, 0, 1  # c^za for the ceiling za of a^x, advanced only on rows with candidates
+    for x in range(1, x_max + 1):
         ys = ys_of.get(-ax % c)
         if ys:
             while cz <= ax:
@@ -110,21 +109,34 @@ def _holds_general(bases: tuple[int, ...], sol: tuple[int, ...]) -> bool:
     return a**x + b**y == c**z
 
 
-def _scan_terai(bases: tuple[int, ...], ms: range, n_max: int) -> list[tuple[int, int, int]]:
-    # x >= 1 is recovered by exact integer square root of c^n - b^m
+# The squares modulo 64, 63, 65 and 11: 1 in 119 residues modulo the product
+# is a square modulo all four, where one table modulo it would hold 2.9 M entries.
+_SQ64, _SQ63, _SQ65, _SQ11 = (frozenset(i * i % q for i in range(q)) for q in (64, 63, 65, 11))
+
+
+def _scan_terai(bases: tuple[int, ...], m_max: int, n_max: int) -> list[tuple[int, int, int]]:
+    # x >= 1 is the integer square root of c^n - b^m, so row m starts at the
+    # least n with c^n > b^m.  A cell whose difference is no square modulo
+    # 64, 63, 65 or 11 is no solution, which residues modulo their product
+    # decide; only the rest take an exact root.
     b, c = bases
+    q = 64 * 63 * 65 * 11
+    cns = [c**n for n in range(n_max + 1)]
+    cn_res = [cn % q for cn in cns]
     out = []
-    bm = b ** ms.start
-    for m in ms:
-        cn = c
-        for n in range(1, n_max + 1):
-            d = cn - bm
-            if d >= 1:
+    bm, n0 = 1, 1
+    for m in range(1, m_max + 1):
+        bm *= b
+        while n0 <= n_max and cns[n0] <= bm:
+            n0 += 1
+        bm_res = bm % q
+        for n in range(n0, n_max + 1):
+            r = (cn_res[n] - bm_res) % q
+            if r & 63 in _SQ64 and r % 63 in _SQ63 and r % 65 in _SQ65 and r % 11 in _SQ11:
+                d = cns[n] - bm
                 x = math.isqrt(d)
                 if x * x == d:
                     out.append((x, m, n))
-            cn *= c
-        bm *= b
     return out
 
 
@@ -133,18 +145,33 @@ def _holds_terai(bases: tuple[int, ...], sol: tuple[int, ...]) -> bool:
     return x * x + b**m == c**n
 
 
-def _scan_eisenstein(bases: tuple[int, ...], xs: range, y_max: int) -> list[tuple[int, int, int]]:
-    # every cell builds its sum and checks it exactly
+def _scan_eisenstein(bases: tuple[int, ...], x_max: int, y_max: int) -> list[tuple[int, int, int]]:
+    # As the general scan, with A = a^x, B = b^y and the sum A^2 + A*B + B^2:
+    # the sum is above 1, so c divides it, and row x looks only at the y whose
+    # residue r has A^2 + A*r + r^2 = 0 mod c.  The precondition makes c >= 4
+    # and the sum lies in (M, 3M] for M = max(A^2, B^2), so z is the least
+    # with c^z > M, the larger of the two sides' ceilings.
     a, b, c = bases
+    ys_of = _index_powers(b, c, y_max, True)
     out = []
-    ax = a ** xs.start
-    for x in xs:
-        by = b
-        for y in range(1, y_max + 1):
-            z = is_perfect_power_of(ax * ax + ax * by + by * by, c)
-            if z is not None:
-                out.append((x, y, z))
-            by *= b
+    ax = a
+    cz, za, cz_mod = 1, 0, 1  # c^za for the ceiling za of A^2, advanced only on rows with candidates
+    for x in range(1, x_max + 1):
+        ra = ax % c
+        rs = [r for r in ys_of if (ra * ra + ra * r + r * r) % c == 0]
+        if rs:
+            a2 = ax * ax
+            while cz <= a2:
+                cz, za, cz_mod = cz * c, za + 1, cz_mod * c % WORD_PRIME
+            ax_mod = ax % WORD_PRIME
+            for r in rs:
+                for y, by_mod, zb, czb_mod in ys_of[r]:
+                    s_mod = (ax_mod * (ax_mod + by_mod) + by_mod * by_mod) % WORD_PRIME
+                    if s_mod == (cz_mod if za >= zb else czb_mod):
+                        by = b**y
+                        z = is_perfect_power_of(a2 + ax * by + by * by, c)
+                        if z is not None:
+                            out.append((x, y, z))
         ax *= a
     return out
 
@@ -163,24 +190,23 @@ def _eisenstein_condition(bases: tuple[int, ...]) -> None:
 
 class Form(Frozen):
     """One equation shape: how to scan its grid, re-check a solution and
-    print it.  The functions are module-level so a scan pickles to a worker.
+    print it.
 
     The grid's first exponent raises the first base and its second the
     second base, to at most `power` times the exponent.
     """
 
-    _fields = ("letters", "scan", "holds", "equation", "precondition", "exponents", "power", "pools")
+    _fields = ("letters", "scan", "holds", "equation", "precondition", "exponents", "power")
 
     def __init__(
         self,
         letters: str,  # the names of the bases, in order, as the template uses them
-        scan: Callable[[tuple[int, ...], range, int], list[tuple[int, int, int]]],
+        scan: Callable[[tuple[int, ...], int, int], list[tuple[int, int, int]]],  # bases, x_max, y_max
         holds: Callable[[tuple[int, ...], tuple[int, ...]], bool],
         equation: str,  # str.format template over the base letters
         precondition: Callable[[tuple[int, ...]], None] | None = None,  # raises ValueError
         exponents: tuple[int, ...] = (0, 1, 2),  # where a solution holds exponents, grid pair first
         power: int = 1,
-        pools: bool = True,  # rows go to a process pool from POOL_MIN_CELLS cells up
     ):
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "scan", scan)
@@ -189,21 +215,13 @@ class Form(Frozen):
         object.__setattr__(self, "precondition", precondition)
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "power", power)
-        object.__setattr__(self, "pools", pools)
 
 
 FORMS = {
-    # the residue index leaves too few exact checks for a pool to pay its start-up
-    "general": Form("abc", _scan_general, _holds_general, "{a}^x + {b}^y = {c}^z", pools=False),
+    "general": Form("abc", _scan_general, _holds_general, "{a}^x + {b}^y = {c}^z"),
     "terai": Form("bc", _scan_terai, _holds_terai, "x^2 + {b}^m = {c}^n", exponents=(1, 2)),
-    "eisenstein": Form(
-        "abc",
-        _scan_eisenstein,
-        _holds_eisenstein,
-        "{a}^2x + {a}^x*{b}^y + {b}^2y = {c}^z",
-        precondition=_eisenstein_condition,
-        power=2,
-    ),
+    "eisenstein": Form("abc", _scan_eisenstein, _holds_eisenstein, "{a}^2x + {a}^x*{b}^y + {b}^2y = {c}^z",
+                       precondition=_eisenstein_condition, power=2),
 }
 
 
@@ -260,16 +278,6 @@ def check_instance(bases: tuple[int, ...], x_max: int, y_max: int, form: str) ->
     return spec
 
 
-def pool_workers(cells: int) -> int:
-    """Processes for a search of `cells` grid cells: one per CPU from
-    POOL_MIN_CELLS up, except inside a pool worker, and else one."""
-    if cells < POOL_MIN_CELLS:
-        return 1
-    import multiprocessing
-
-    return (os.cpu_count() or 1) if multiprocessing.parent_process() is None else 1
-
-
 def find_solutions(
     bases: tuple[int, ...],
     x_max: int = 30,
@@ -284,17 +292,7 @@ def find_solutions(
     bases = tuple(bases)
     spec = check_instance(bases, x_max, y_max, form)
     start = time.perf_counter()
-    workers = pool_workers(x_max * y_max) if spec.pools else 1
-    if workers > 1:
-        chunk = (x_max + workers - 1) // workers
-        rows = [range(lo, min(lo + chunk, x_max + 1)) for lo in range(1, x_max + 1, chunk)]
-        # looked up on the module at call time, so a rebound class is the one used
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(spec.scan, repeat(bases), rows, repeat(y_max))
-        found = [s for part in parts for s in part]
-    else:
-        found = spec.scan(bases, range(1, x_max + 1), y_max)
-    solutions = tuple(sorted(set(found)))
+    solutions = tuple(sorted(spec.scan(bases, x_max, y_max)))
     elapsed = time.perf_counter() - start
     report = SearchReport(form, bases, x_max, y_max, solutions, x_max * y_max, elapsed)
     for sol in solutions:  # self-check by exact substitution

@@ -96,6 +96,17 @@ def test_search_names_missing_flags(capsys, argv, message):
     assert err == f"bad instance: {message}\n"
 
 
+@pytest.mark.parametrize("legs", [("0", "5", "5"), ("3", "0", "5"), ("3", "4", "0")], ids=["u", "v", "w"])
+def test_search_leg_of_zero_is_given(capsys, legs):
+    # a leg of 0 is given, so Triple names it, not the message for missing legs
+    u, v, w = legs
+    code, out, err = run(["search", "--form", "pythag", "--u", u, "--v", v, "--w", w], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("bad instance: triple entries must be positive: Triple(")
+    code, out, err = run(["search", "--form", "pythag", "--u", u, "--v", v], capsys)
+    assert code == 2 and err == "bad instance: give --family plus its parameters, or --u/--v/--w\n"
+
+
 def test_corpus_shipped_passes(capsys):
     code, out, _ = run(["corpus"], capsys)
     assert code == 0

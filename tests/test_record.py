@@ -60,9 +60,9 @@ SAMPLES = [
     (KillingWitness, dict(modulus=17, solutions=RCS, scanned=(2, 17), skipped=((4, "order too large"),)),
      dict(modulus=None, solutions=None, scanned=(), skipped=())),
     (Form, dict(letters="abc", scan=G.scan, holds=G.holds, equation="{a}^x", precondition=None, exponents=(0, 1, 2),
-                power=1, pools=False),
+                power=1),
      dict(letters="bc", scan=T.scan, holds=T.holds, equation="{b}^m", precondition=print, exponents=(1, 2),
-          power=2, pools=True)),
+          power=2)),
     (
         SearchReport,
         dict(form="general", bases=(3, 2, 5), x_max=10, y_max=12, solutions=((1, 1, 1),), candidates=120,
@@ -189,7 +189,7 @@ def test_defaults_and_fresh_factories():
     assert SearchReport("general", (3, 2, 5), 1, 1, (), 1).elapsed == 0.0
     assert EntryResult("a", True, "").elapsed == 0.0
     form = Form("a", len, len, "")
-    assert (form.precondition, form.exponents, form.power, form.pools) == (None, (0, 1, 2), 1, True)
+    assert (form.precondition, form.exponents, form.power) == (None, (0, 1, 2), 1)
     entry = CorpusEntry("a", "general", frozenset(), ())
     assert (entry.triple, entry.x_max, entry.y_max) == (None, 30, 30)
     assert KFactoredForm(*[None] * 8).contradiction is None

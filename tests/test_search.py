@@ -5,6 +5,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -14,13 +15,12 @@ from jesma import search
 from jesma.arith import is_perfect_power_of, radical
 from jesma.search import (
     BOUND_MAX,
-    POOL_MIN_CELLS,
+    FORMS,
     DegenerateBaseError,
     SelfCheckError,
     check_instance,
     find_solutions,
     find_solutions_scaled,
-    pool_workers,
 )
 from jesma.triples import Triple, lu_family
 
@@ -93,15 +93,50 @@ def test_matches_brute_force_oracle():
         done += 1
 
 
-def reference_scan(bases, xs, y_max):
+def reference_scan(bases, x_max, y_max):
     """The general form's per-cell scan: every cell builds a^x + b^y and checks it."""
     a, b, c = bases
     out = []
-    ax = a**xs.start
-    for x in xs:
+    ax = a
+    for x in range(1, x_max + 1):
         by = b
         for y in range(1, y_max + 1):
             z = is_perfect_power_of(ax + by, c)
+            if z is not None:
+                out.append((x, y, z))
+            by *= b
+        ax *= a
+    return out
+
+
+def reference_scan_terai(bases, m_max, n_max):
+    """The terai form's per-cell scan: every cell with c^n > b^m takes the
+    exact root of c^n - b^m."""
+    b, c = bases
+    out = []
+    bm = b
+    for m in range(1, m_max + 1):
+        cn = c
+        for n in range(1, n_max + 1):
+            d = cn - bm
+            if d >= 1:
+                x = math.isqrt(d)
+                if x * x == d:
+                    out.append((x, m, n))
+            cn *= c
+        bm *= b
+    return out
+
+
+def reference_scan_eisenstein(bases, x_max, y_max):
+    """The eisenstein form's per-cell scan: every cell builds its sum and checks it exactly."""
+    a, b, c = bases
+    out = []
+    ax = a
+    for x in range(1, x_max + 1):
+        by = b
+        for y in range(1, y_max + 1):
+            z = is_perfect_power_of(ax * ax + ax * by + by * by, c)
             if z is not None:
                 out.append((x, y, z))
             by *= b
@@ -138,19 +173,43 @@ def _scan_bases(rnd):
     return a, b, c
 
 
-def word_survivors(a, b, c, xs, y_max):
-    """The sums a^x + b^y that c divides and that equal c^z modulo the word
-    prime, z the least with c^z > max(a^x, b^y): the cells checked exactly."""
+# the sum each residue form checks, over A = a^x and B = b^y
+SUMS = {"general": lambda A, B: A + B, "eisenstein": lambda A, B: A * A + A * B + B * B}
+
+
+def word_survivors(form, bases, x_max, y_max):
+    """The sums that c divides and that equal c^z modulo the word prime, z
+    the least with c^z > max(a^x, b^y)^p for the form's power p: the cells
+    checked exactly."""
+    (a, b, c), p = bases, FORMS[form].power
     out = []
-    for x in xs:
+    for x in range(1, x_max + 1):
         for y in range(1, y_max + 1):
             z = 1
-            while c**z <= max(a**x, b**y):
+            while c**z <= max(a**x, b**y) ** p:
                 z += 1
-            s = a**x + b**y
+            s = SUMS[form](a**x, b**y)
             if s % c == 0 and s % search.WORD_PRIME == pow(c, z, search.WORD_PRIME):
                 out.append(s)
     return out
+
+
+def check_residue_scan(form, bases, x_max, y_max, reference):
+    """The form's scan checks exactly its word survivors, each once, and
+    finds what its per-cell scan finds."""
+    checked = []
+
+    def counted(s, base):
+        checked.append(s)
+        return is_perfect_power_of(s, base)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "is_perfect_power_of", counted)
+        found = FORMS[form].scan(bases, x_max, y_max)
+    where = (bases, x_max, y_max)
+    assert sorted(checked) == sorted(word_survivors(form, bases, x_max, y_max)), where
+    assert sorted(found) == sorted(reference(bases, x_max, y_max)), where
+    return found
 
 
 @seed(2020)
@@ -158,26 +217,91 @@ def word_survivors(a, b, c, xs, y_max):
 @given(st.integers(0, 2**64))
 def test_residue_scan_matches_per_cell_scan(draw_seed):
     """The general scan checks exactly the cells where c divides a^x + b^y
-    and the sum is c^z modulo the word prime, each once, and finds what the
-    per-cell scan finds, also on rows from above 1."""
+    and the sum is c^z modulo the word prime, and finds what the per-cell
+    scan finds."""
     rnd = random.Random(draw_seed)
-    checked = []
-
-    def counted(s, base):
-        checked.append(s)
-        return is_perfect_power_of(s, base)
-
     for _ in range(20):
-        (a, b, c) = bases = _scan_bases(rnd)
-        lo = rnd.randint(1, 8)
-        xs = range(lo, lo + rnd.randint(0, 10))
-        y_max = rnd.randint(1, 12)
-        checked.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "is_perfect_power_of", counted)
-            found = search._scan_general(bases, xs, y_max)
-        assert sorted(checked) == sorted(word_survivors(a, b, c, xs, y_max)), (bases, xs, y_max)
-        assert found == reference_scan(bases, xs, y_max), (bases, xs, y_max)
+        check_residue_scan("general", _scan_bases(rnd), rnd.randint(1, 16), rnd.randint(1, 12), reference_scan)
+
+
+# primitive solutions of a^2 + a*b + b^2 = c^2, each with the solution (1, 1, 2)
+EISENSTEIN_TRIPLES = ((3, 5, 7), (5, 3, 7), (7, 8, 13), (5, 16, 19), (11, 24, 31))
+
+
+@seed(2023)
+@settings(deadline=None)
+@given(st.integers(0, 2**64))
+def test_eisenstein_scan_matches_per_cell_scan(draw_seed):
+    """The eisenstein scan checks exactly the cells where c divides the sum
+    and the sum is c^z modulo the word prime, and finds what the per-cell
+    scan finds.  The bases are the triples scaled by k, which keeps the
+    precondition, and often by the word prime too, so that every cell that
+    passes mod c passes the word test.  A k that the unscaled c, a prime,
+    divides makes a and b share every prime of c, so that c divides the sum
+    from x, y >= 2."""
+    rnd = random.Random(draw_seed)
+    for _ in range(10):
+        k = rnd.randint(1, 60) * (search.WORD_PRIME if rnd.random() < 0.3 else 1)
+        bases = tuple(k * v for v in rnd.choice(EISENSTEIN_TRIPLES))
+        x_max, y_max = rnd.randint(1, 12), rnd.randint(1, 12)
+        check_instance(bases, x_max, y_max, "eisenstein")
+        check_residue_scan("eisenstein", bases, x_max, y_max, reference_scan_eisenstein)
+
+
+def test_eisenstein_scan_takes_the_larger_ceiling():
+    # The triples' only solutions, (1, 1, 2), have sides of one ceiling.  The
+    # scan's z needs only c >= 4, so these bases, which break the precondition,
+    # reach solutions whose z is one side's ceiling and not the other's:
+    # 2^8 + 2^4 * 39 + 39^2 = 7^4, where 7^3 > 2^8.
+    for bases, sol in [((2, 39, 7), (4, 1, 4)), ((39, 2, 7), (1, 4, 4)), ((2, 12, 28), (3, 2, 3)),
+                       ((12, 2, 28), (2, 3, 3))]:
+        assert sol in check_residue_scan("eisenstein", bases, 12, 12, reference_scan_eisenstein)
+
+
+def test_power_index_records_each_ceiling():
+    # each y's residue, its power modulo the word prime, and the least z with
+    # c^z above b^y, or above its square
+    P = search.WORD_PRIME
+    for b, c, square in ((5, 7, False), (5, 7, True), (2, 2, False), (12, 3, True), (P + 3, 2 * P, True)):
+        ys_of = search._index_powers(b, c, 30, square)
+        assert sorted(y for entries in ys_of.values() for y, *_ in entries) == list(range(1, 31))
+        for r, entries in ys_of.items():
+            for y, by_mod, z, cz_mod in entries:
+                top = b ** (2 * y if square else y)
+                assert (b**y % c, by_mod, cz_mod) == (r, b**y % P, c**z % P)
+                assert c ** (z - 1) <= top < c**z
+
+
+def _terai_bases(rnd):
+    """b and c from 2 to 300: random, b or c a square, c | b, or both powers
+    of one base, where x^2 + b^m = c^n can hold along whole families."""
+    kind = rnd.choice(("random", "b square", "c square", "c|b", "t^i"))
+    b, c = rnd.randint(2, 300), rnd.randint(2, 300)
+    if kind == "b square":
+        b = rnd.randint(2, 17) ** 2
+    elif kind == "c square":
+        c = rnd.randint(2, 17) ** 2
+    elif kind == "c|b":
+        c = rnd.randint(2, 150)
+        b = c * rnd.randint(1, 300 // c)
+    elif kind == "t^i":
+        t = rnd.randint(2, 6)
+        b, c = (t ** rnd.randint(1, int(math.log(300, t))) for _ in range(2))
+    return b, c
+
+
+@seed(2024)
+@settings(deadline=None)
+@given(st.integers(0, 2**64))
+def test_terai_scan_matches_per_cell_scan(draw_seed):
+    """The terai scan, which takes a root only where c^n - b^m is a square
+    modulo 64, 63, 65 and 11, finds what the per-cell scan finds."""
+    rnd = random.Random(draw_seed)
+    for _ in range(20):
+        bases = _terai_bases(rnd)
+        m_max, n_max = rnd.randint(1, 16), rnd.randint(1, 16)
+        found = search._scan_terai(bases, m_max, n_max)
+        assert sorted(found) == sorted(reference_scan_terai(bases, m_max, n_max)), (bases, m_max, n_max)
 
 
 def test_general_search_checks_exactly_only_solutions(monkeypatch):
@@ -201,6 +325,40 @@ def test_general_search_checks_exactly_only_solutions(monkeypatch):
     # 2^x + 2^y = 2^z holds at every (x, x, x + 1): one exact check each
     calls.clear()
     assert len(find_solutions((2, 2, 2), 300, 300).solutions) == len(calls) == 300
+
+
+def test_eisenstein_search_checks_exactly_only_solutions(monkeypatch):
+    calls = []
+
+    def counted(s, base):
+        calls.append(s)
+        return is_perfect_power_of(s, base)
+
+    monkeypatch.setattr("jesma.search.is_perfect_power_of", counted)
+    # a third of the 360,000 cells of (3, 5, 7) pass mod 7; only (1, 1) is
+    # also c^z modulo the word prime
+    for bases in ((3, 5, 7), (5, 16, 19), (7, 8, 13)):
+        calls.clear()
+        assert find_solutions(bases, 600, 600, form="eisenstein").solutions == ((1, 1, 2),)
+        assert len(calls) == 1, bases
+
+
+def test_terai_search_takes_few_roots(monkeypatch):
+    roots = []
+
+    def counted(d):
+        roots.append(d)
+        return math.isqrt(d)
+
+    monkeypatch.setattr(search, "math", SimpleNamespace(isqrt=counted))
+    # 684,720 cells of (2, 3) at 1000 x 1000 have 3^n > 2^m
+    solutions = ((1, 1, 1), (1, 3, 2), (5, 1, 3), (7, 5, 4))
+    assert find_solutions((2, 3), 1000, 1000, form="terai").solutions == solutions
+    assert len(roots) == 11_550
+    # 3^n - 7^m is never a square modulo all four moduli
+    roots.clear()
+    assert find_solutions((7, 3), 1000, 1000, form="terai").solutions == ()
+    assert roots == []
 
 
 def test_search_refuses_a_power_over_the_bit_limit():
@@ -242,37 +400,6 @@ def test_report_self_checks_and_counts():
         assert 3**x + 2**y == 5**z
 
 
-# one instance of each form, each with at least one solution in a 25 x 25 grid
-INSTANCES = [("general", (3, 2, 5)), ("terai", (3, 5)), ("eisenstein", (3, 5, 7))]
-
-
-def test_parallel_matches_serial(request):
-    serial = [find_solutions(bases, 25, 25, form=form).solutions for form, bases in INSTANCES]
-    started = request.getfixturevalue("force_pool")
-    parallel = [find_solutions(bases, 25, 25, form=form).solutions for form, bases in INSTANCES]
-    assert started == [3, 3]  # terai and eisenstein pool; the general form starts no pool
-    assert parallel == serial and all(serial)
-
-
-def test_small_grids_start_no_pool(no_pool):
-    side = math.isqrt(POOL_MIN_CELLS - 1)  # the largest square grid below the crossover
-    for form, bases in INSTANCES:
-        assert find_solutions(bases, side, side, form=form).solutions
-    assert find_solutions((340, 1683, 1717)).solutions == ((2, 2, 2),)  # the default 30 x 30
-    # the general form runs in this process at every size
-    assert find_solutions((340, 1683, 1717), BOUND_MAX, BOUND_MAX).solutions == ((2, 2, 2),)
-    with pytest.raises(AssertionError, match="process pool"):
-        find_solutions((3, 5, 7), side + 1, side + 1, form="eisenstein")
-
-
-def test_search_in_pool_worker_runs_serial(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert pool_workers(POOL_MIN_CELLS - 1) == 1
-    assert pool_workers(POOL_MIN_CELLS) == 4
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(pool_workers, POOL_MIN_CELLS).result() == 1
-
-
 def test_self_check_rejects_wrong_solution(monkeypatch):
     # a scan that reports a wrong z must be caught by the exact re-check
     monkeypatch.setattr("jesma.search.is_perfect_power_of", lambda s, base: 3)
@@ -300,41 +427,33 @@ def test_self_check_survives_optimize_flag():
     assert out.stdout.strip() == "caught"
 
 
-POOL_FOOTPRINT = """
-import os, sys
+ONE_PROCESS = """
+import sys
 import jesma.cli
 from jesma import corpus, search
-POOL = ("concurrent.futures.process", "multiprocessing")
-print(*(m in sys.modules for m in POOL))
-os.cpu_count = lambda: 2  # pool on any machine
-general = search.find_solutions((340, 1683, 1717), 1000, 1000)  # the general form never pools
-serial = search.find_solutions((3, 5), 249, 249, form="terai")  # below the crossover
-print(*(m in sys.modules for m in POOL))
-pooled = search.find_solutions((3, 5), 250, 250, form="terai")
-print(*(m in sys.modules for m in POOL))
-# the pooled branch looked the class up on the module, which cached it there
-print("ProcessPoolExecutor" in vars(search), "ProcessPoolExecutor" in vars(corpus))
-print(general.solutions == ((2, 2, 2),), pooled.solutions == serial.solutions == ((4, 2, 2),))
+assert search.find_solutions((3, 5, 7), 600, 600, form="eisenstein").solutions == ((1, 1, 2),)
+assert search.find_solutions((2, 3), 1000, 1000, form="terai").solutions
+assert search.find_solutions((340, 1683, 1717), 1000, 1000).solutions == ((2, 2, 2),)
+entries, _ = corpus.load_default_corpus()
+assert all(r.passed for r in corpus.run_corpus(entries))
+print([m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules])
 """
 
 
-def test_pool_modules_load_on_the_first_pooled_search():
+def test_searches_and_corpus_run_in_one_process():
+    # the largest searches of each form and the shipped corpus load no process pool
     src = Path(jesma.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-c", POOL_FOOTPRINT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", ONE_PROCESS], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [
-        "False False",
-        "False False",
-        "True True",
-        "True False",
-        "True True",
-    ]
+    assert out.stdout == "[]\n"
 
 
 def test_pool_class_is_a_lazy_module_attribute():
+    # pins the hook the benchmark tracer reads: perfbench/tracing.py looks
+    # ProcessPoolExecutor up on both modules with no default
     from jesma import corpus, search
 
     for module in (search, corpus):
