@@ -62,9 +62,10 @@ class SelfCheckError(RuntimeError):
     so the check also runs under python -O."""
 
 
-def _index_powers(b: int, c: int, y_max: int, square: bool) -> dict[int, list[tuple[int, int, int, int]]]:
-    # b^y mod c -> (y, b^y mod WORD_PRIME, zb, c^zb mod WORD_PRIME), y ascending,
-    # for the ceiling zb: the least with c^zb above b^y, or above its square
+def _index_powers(b: int, c: int, modulus: int, y_max: int,
+                  square: bool) -> dict[int, list[tuple[int, int, int, int]]]:
+    # b^y mod modulus -> (y, b^y mod WORD_PRIME, zb, c^zb mod WORD_PRIME), y
+    # ascending, for the ceiling zb: the least with c^zb above b^y, or above its square
     ys_of: dict[int, list[tuple[int, int, int, int]]] = {}
     by, cz, zb, cz_mod = 1, 1, 0, 1  # cz = c^zb
     for y in range(1, y_max + 1):
@@ -72,25 +73,38 @@ def _index_powers(b: int, c: int, y_max: int, square: bool) -> dict[int, list[tu
         top = by * by if square else by
         while cz <= top:
             cz, zb, cz_mod = cz * c, zb + 1, cz_mod * c % WORD_PRIME
-        ys_of.setdefault(by % c, []).append((y, by % WORD_PRIME, zb, cz_mod))
+        ys_of.setdefault(by % modulus, []).append((y, by % WORD_PRIME, zb, cz_mod))
     return ys_of
 
 
 def _scan_general(bases: tuple[int, ...], x_max: int, y_max: int) -> list[tuple[int, int, int]]:
-    # Every solution has z >= 1, so c divides a^x + b^y: the y are indexed by
-    # b^y mod c, and row x looks only at the y whose residue is -a^x mod c.
-    # The sum is at most twice max(a^x, b^y), so c^z is above that max and
-    # c^(z-1) is not: z is the larger of the two sides' ceilings, the least
-    # z with c^z above the side's power.  A cell whose sum differs from c^z
-    # modulo WORD_PRIME is no solution; only the rest are checked exactly,
-    # with b^y formed again.
+    # A solution with z = 1 has a^x + b^y = c, so both powers are below c:
+    # row x with a^x < c looks c - a^x up among the powers b^y below c.
+    # Every other solution has z >= 2, so c^2 divides a^x + b^y: the y are
+    # indexed by b^y mod c^2, and row x looks only at the y whose residue is
+    # -a^x mod c^2.  No cell with both powers below c is among those, as its
+    # sum is below 2c <= c^2.  The sum is at most twice max(a^x, b^y), so
+    # c^z is above that max and c^(z-1) is not: z is the larger of the two
+    # sides' ceilings, the least z with c^z above the side's power.  A cell
+    # whose sum differs from c^z modulo WORD_PRIME is no solution; only the
+    # rest are checked exactly, with b^y formed again.
     a, b, c = bases
-    ys_of = _index_powers(b, c, y_max, False)
+    c2 = c * c
+    ys_of = _index_powers(b, c, c2, y_max, False)
+    y_of = {}  # b^y -> y for the powers below c
+    by = b
+    for y in range(1, y_max + 1):
+        if by >= c:
+            break
+        y_of[by] = y
+        by *= b
     out = []
     ax = a
     cz, za, cz_mod = 1, 0, 1  # c^za for the ceiling za of a^x, advanced only on rows with candidates
     for x in range(1, x_max + 1):
-        ys = ys_of.get(-ax % c)
+        if ax < c and c - ax in y_of:
+            out.append((x, y_of[c - ax], 1))
+        ys = ys_of.get(-ax % c2)
         if ys:
             while cz <= ax:
                 cz, za, cz_mod = cz * c, za + 1, cz_mod * c % WORD_PRIME
@@ -146,13 +160,14 @@ def _holds_terai(bases: tuple[int, ...], sol: tuple[int, ...]) -> bool:
 
 
 def _scan_eisenstein(bases: tuple[int, ...], x_max: int, y_max: int) -> list[tuple[int, int, int]]:
-    # As the general scan, with A = a^x, B = b^y and the sum A^2 + A*B + B^2:
-    # the sum is above 1, so c divides it, and row x looks only at the y whose
-    # residue r has A^2 + A*r + r^2 = 0 mod c.  The precondition makes c >= 4
-    # and the sum lies in (M, 3M] for M = max(A^2, B^2), so z is the least
-    # with c^z > M, the larger of the two sides' ceilings.
+    # As the general scan, with A = a^x, B = b^y and the sum A^2 + A*B + B^2,
+    # but indexed mod c: the sum is above 1, so c divides it, and row x
+    # looks only at the y whose residue r has A^2 + A*r + r^2 = 0 mod c.
+    # The precondition makes c >= 4 and the sum lies in (M, 3M] for
+    # M = max(A^2, B^2), so z is the least with c^z > M, the larger of the
+    # two sides' ceilings.
     a, b, c = bases
-    ys_of = _index_powers(b, c, y_max, True)
+    ys_of = _index_powers(b, c, c, y_max, True)
     out = []
     ax = a
     cz, za, cz_mod = 1, 0, 1  # c^za for the ceiling za of A^2, advanced only on rows with candidates

@@ -144,12 +144,19 @@ def reference_scan_eisenstein(bases, x_max, y_max):
     return out
 
 
-def _scan_bases(rnd):
+# primitive Pythagorean triples, scaled by k in the general scan's draws
+PYTHAGOREAN_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 99, 101))
+
+
+def _scan_bases(rnd, x_max, y_max):
     """Bases from 2 to 300: random, c | a, c | b, degenerate (every prime of c
     divides a and b), c = 2, or powers of 2, whose solutions have
     a^x = b^y = c^(z-1).  Or small multiples of the word prime, so that every
-    cell that passes the residue test passes the word test too."""
-    kind = rnd.choice(("random", "c|a", "c|b", "degenerate", "c=2", "2^i", "P|abc"))
+    cell that passes the residue test passes the word test too.  Or a
+    Pythagorean triple scaled by k, where a, b and c share k's primes (and,
+    for k a multiple of w, all of c's), as in the paper's (20k, 99k, 101k).
+    Or c = a^x0 + b^y0 for a cell (x0, y0) of the grid, a solution with z = 1."""
+    kind = rnd.choice(("random", "c|a", "c|b", "degenerate", "c=2", "2^i", "P|abc", "scaled", "z=1"))
     a, b, c = (rnd.randint(2, 300) for _ in range(3))
     if kind == "c|a":
         c = rnd.randint(2, 150)
@@ -170,6 +177,13 @@ def _scan_bases(rnd):
         # (3, 4, 5) scaled by P has the solution (2, 2, 2)
         ratios = rnd.choice(((3, 4, 5), tuple(rnd.randint(1, 5) for _ in range(3))))
         a, b, c = (search.WORD_PRIME * r for r in ratios)
+    elif kind == "scaled":
+        u, v, w = rnd.choice(PYTHAGOREAN_TRIPLES)
+        k = rnd.randint(1, 60) * rnd.choice((1, w))
+        a, b, c = k * u, k * v, k * w
+    elif kind == "z=1":
+        a, b = rnd.randint(2, 30), rnd.randint(2, 30)
+        c = a ** rnd.randint(1, x_max) + b ** rnd.randint(1, y_max)
     return a, b, c
 
 
@@ -178,10 +192,13 @@ SUMS = {"general": lambda A, B: A + B, "eisenstein": lambda A, B: A * A + A * B 
 
 
 def word_survivors(form, bases, x_max, y_max):
-    """The sums that c divides and that equal c^z modulo the word prime, z
-    the least with c^z > max(a^x, b^y)^p for the form's power p: the cells
-    checked exactly."""
+    """The sums that c^2 divides (general) or c divides (eisenstein) and
+    that equal c^z modulo the word prime, z the least with
+    c^z > max(a^x, b^y)^p for the form's power p: the cells checked exactly.
+    No cell of the general form's z = 1 corner, where a^x and b^y are below
+    c, is among them: its sum is below 2c <= c^2."""
     (a, b, c), p = bases, FORMS[form].power
+    m = c * c if form == "general" else c
     out = []
     for x in range(1, x_max + 1):
         for y in range(1, y_max + 1):
@@ -189,7 +206,7 @@ def word_survivors(form, bases, x_max, y_max):
             while c**z <= max(a**x, b**y) ** p:
                 z += 1
             s = SUMS[form](a**x, b**y)
-            if s % c == 0 and s % search.WORD_PRIME == pow(c, z, search.WORD_PRIME):
+            if s % m == 0 and s % search.WORD_PRIME == pow(c, z, search.WORD_PRIME):
                 out.append(s)
     return out
 
@@ -216,12 +233,13 @@ def check_residue_scan(form, bases, x_max, y_max, reference):
 @settings(deadline=None)
 @given(st.integers(0, 2**64))
 def test_residue_scan_matches_per_cell_scan(draw_seed):
-    """The general scan checks exactly the cells where c divides a^x + b^y
-    and the sum is c^z modulo the word prime, and finds what the per-cell
-    scan finds."""
+    """The general scan checks exactly the cells where c^2 divides a^x + b^y
+    and the sum is c^z modulo the word prime, looks the z = 1 solutions up
+    with no check, and finds what the per-cell scan finds."""
     rnd = random.Random(draw_seed)
     for _ in range(20):
-        check_residue_scan("general", _scan_bases(rnd), rnd.randint(1, 16), rnd.randint(1, 12), reference_scan)
+        x_max, y_max = rnd.randint(1, 16), rnd.randint(1, 12)
+        check_residue_scan("general", _scan_bases(rnd, x_max, y_max), x_max, y_max, reference_scan)
 
 
 # primitive solutions of a^2 + a*b + b^2 = c^2, each with the solution (1, 1, 2)
@@ -259,17 +277,18 @@ def test_eisenstein_scan_takes_the_larger_ceiling():
 
 
 def test_power_index_records_each_ceiling():
-    # each y's residue, its power modulo the word prime, and the least z with
-    # c^z above b^y, or above its square
+    # each y's residue modulo c (eisenstein) or c^2 (general), its power
+    # modulo the word prime, and the least z with c^z above b^y, or above its square
     P = search.WORD_PRIME
     for b, c, square in ((5, 7, False), (5, 7, True), (2, 2, False), (12, 3, True), (P + 3, 2 * P, True)):
-        ys_of = search._index_powers(b, c, 30, square)
-        assert sorted(y for entries in ys_of.values() for y, *_ in entries) == list(range(1, 31))
-        for r, entries in ys_of.items():
-            for y, by_mod, z, cz_mod in entries:
-                top = b ** (2 * y if square else y)
-                assert (b**y % c, by_mod, cz_mod) == (r, b**y % P, c**z % P)
-                assert c ** (z - 1) <= top < c**z
+        for m in (c, c * c):
+            ys_of = search._index_powers(b, c, m, 30, square)
+            assert sorted(y for entries in ys_of.values() for y, *_ in entries) == list(range(1, 31))
+            for r, entries in ys_of.items():
+                for y, by_mod, z, cz_mod in entries:
+                    top = b ** (2 * y if square else y)
+                    assert (b**y % m, by_mod, cz_mod) == (r, b**y % P, c**z % P)
+                    assert c ** (z - 1) <= top < c**z
 
 
 def _terai_bases(rnd):
@@ -312,19 +331,39 @@ def test_general_search_checks_exactly_only_solutions(monkeypatch):
         return is_perfect_power_of(s, base)
 
     monkeypatch.setattr("jesma.search.is_perfect_power_of", counted)
-    # (40, 198, 202) at 600 x 600: c divides a^x + b^y in 3,600 cells, and
+    # (40, 198, 202) at 600 x 600: c^2 divides a^x + b^y in 150 cells, and
     # only (2, 2) is also c^z modulo the word prime; the per-cell scan
     # checks all 360,000
     assert find_solutions((40, 198, 202), 600, 600).solutions == ((2, 2, 2),)
     assert len(calls) == 1
-    # every prime of c = 10201 = 101^2 divides a = 2020 and b = 9999, and c
-    # divides the sum in 89,401 of the 90,000 cells at 300 x 300
+    # every prime of c = 10201 = 101^2 divides a = 2020 and b = 9999, and c^2
+    # divides the sum in 88,210 of the 90,000 cells at 300 x 300
     calls.clear()
     assert find_solutions((2020, 9999, 10201), 300, 300).solutions == ((2, 2, 2),)
     assert len(calls) == 1
     # 2^x + 2^y = 2^z holds at every (x, x, x + 1): one exact check each
     calls.clear()
     assert len(find_solutions((2, 2, 2), 300, 300).solutions) == len(calls) == 300
+
+
+def test_general_search_looks_the_z1_corner_up(monkeypatch):
+    # a^x + b^y = c holds only where both powers are below c; the scan finds
+    # such a solution by one lookup per row, with no exact check
+    calls = []
+
+    def counted(s, base):
+        calls.append(s)
+        return is_perfect_power_of(s, base)
+
+    monkeypatch.setattr("jesma.search.is_perfect_power_of", counted)
+    # 630,000 cells of the grid have both powers below c = 2^1000 + 3^600
+    assert find_solutions((2, 3, 2**1000 + 3**600), 1000, 1000).solutions == ((1000, 600, 1),)
+    assert calls == []
+    for bases in ((3, 2, 5), (7, 2, 9), (15, 2, 17), (89, 2, 91)):
+        calls.clear()
+        solutions = find_solutions(bases, 30, 30).solutions
+        assert solutions[0] == (1, 1, 1)
+        assert len(calls) == len(solutions) - 1, bases
 
 
 def test_eisenstein_search_checks_exactly_only_solutions(monkeypatch):
