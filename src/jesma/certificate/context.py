@@ -91,22 +91,33 @@ def _term_form(t: Term) -> tuple:
     if t.coef == 0:
         raise ValueError("zero coefficient term")
     sign = 1 if t.coef > 0 else -1
-    plain: dict[int, Lin] = {}
+    # prime -> the linear exponent it gets from the coefficient and the
+    # plain powers, as coefficients by variable and a constant
+    coeffs: dict[int, dict[str, int]] = {}
+    consts: dict[int, int] = {}
     symbolic: dict[tuple[int, str, tuple], tuple[Lin, int, int]] = {}
     for prime, e in factorize_bounded(abs(t.coef)):
-        plain[prime] = plain.get(prime, Lin.const_of(0)) + e
+        consts[prime] = consts.get(prime, 0) + e
     for p in t.powers:
         e = p.exp
         if p.base == 1:
             continue
         for prime, mult in factorize_bounded(p.base):
             if e.sym is None:
-                plain[prime] = plain.get(prime, Lin.const_of(0)) + e.lin * mult
+                consts[prime] = consts.get(prime, 0) + e.lin.const * mult
+                cs = coeffs.setdefault(prime, {})
+                for v, c in e.lin.coeffs:
+                    cs[v] = cs.get(v, 0) + c * mult
             else:
                 key = (prime, e.sym, e.lin.key())
                 lin, off, count = symbolic.get(key, (e.lin, 0, 0))
                 symbolic[key] = (lin, off + e.off * mult, count + mult)
-    pows = [(b, ExpExpr(lin).key()) for b, lin in plain.items() if lin.key() != ((), 0)]
+    pows = []
+    for prime in consts.keys() | coeffs.keys():
+        cs = tuple(sorted((v, c) for v, c in coeffs.get(prime, {}).items() if c))
+        const = consts.get(prime, 0)
+        if cs or const:
+            pows.append((prime, ExpExpr(Lin(cs, const)).key()))
     pows += [
         (prime, ExpExpr(lin * count, sym, off).key())
         for (prime, sym, _), (lin, off, count) in symbolic.items()
@@ -269,18 +280,37 @@ class Context(Frozen):
         # from; the context is frozen and replace() makes a new object, so
         # the cache cannot go stale
         subst = self._residue_substitution()
-        facts = [self._transform(dict(cs), d, subst) for cs, d in self.facts]
+        # a fact is stored normalized, so one with no substituted variable
+        # is its own transform
+        facts = [
+            self._transform(dict(cs), d, subst) if any(v in subst for v, _ in cs) else (cs, d)
+            for cs, d in self.facts
+        ]
         for s in self.syms:
             facts.append(self._transform({s: 1}, -1, subst))
         return tuple(facts), subst
 
-    def implied(self, lin: Lin) -> bool:
-        """Is lin >= 0 forced by the accumulated facts (integer reasoning)?"""
+    def implied(self, lin: Lin, extra: tuple[Lin, ...] = ()) -> bool:
+        """Is lin >= 0 forced by the accumulated facts (integer reasoning)?
+
+        extra are further facts f >= 0, taken as with_fact would add them,
+        without building the context that holds them.
+
+        A fact with the query's normalized coefficients and a constant no
+        larger than the query's implies it at once; elimination would
+        refute that pair, so only the other queries are eliminated."""
         if self.conflict:
             return True
         facts, subst = self._system
-        neg = lin * -1 - 1
-        problem = (*facts, self._transform(neg.as_dict(), neg.const, subst))
+        if extra:
+            added = [_normalize_fact(f.as_dict(), f.const) for f in extra]
+            n = len(self.facts)  # _system lists the facts, then the symbols
+            facts = (*facts[:n], *(self._transform(dict(cs), d, subst) for cs, d in added), *facts[n:])
+        coeffs, const = self._transform(lin.as_dict(), lin.const, subst)
+        if any(cs == coeffs and d <= const for cs, d in facts):
+            return True
+        # -lin - 1 >= 0, normalized: floor((-c - 1) / g) is -floor(c / g) - 1
+        problem = (*facts, (tuple((v, -c) for v, c in coeffs), -const - 1))
         refuted = self.memo.refuted
         if problem not in refuted:
             refuted[problem] = _infeasible(problem)

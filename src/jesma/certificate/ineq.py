@@ -15,7 +15,7 @@ the proof branch still allows.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from functools import cmp_to_key
 
 from ..record import Frozen
 from ..symbolic import CONST_BITS_MAX, ExpExpr, Lin, Power, Term
@@ -128,11 +128,22 @@ def check_ratio_rule(
         return f"base case fails: {l0} >= {r0} is false"
     for s in slacks:
         delta = {s: 1}
-        lmin = min(t.growth_ratio(delta) for t in lhs)
-        rmax = max(t.growth_ratio(delta) for t in rhs)
-        if lmin < rmax:
-            return f"growth along {s}: left factor {lmin} < right factor {rmax}"
+        lmin = min((t.growth_pair(delta) for t in lhs), key=_BY_RATIO)
+        rmax = max((t.growth_pair(delta) for t in rhs), key=_BY_RATIO)
+        if lmin[0] * rmax[1] < rmax[0] * lmin[1]:
+            return f"growth along {s}: left factor {_ratio_text(*lmin)} < right factor {_ratio_text(*rmax)}"
     return None
+
+
+# growth factors are (numerator, denominator) pairs with positive parts,
+# ordered by cross-multiplication
+_BY_RATIO = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """num/den in lowest terms, as str(Fraction(num, den)) prints it."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def _forward_exp(e: ExpExpr, fwd: dict[str, Lin], path: str) -> Lin:
@@ -184,12 +195,11 @@ def _lin_residues_mod(ctx: Context, lin: Lin, d: int) -> set[int]:
 def _implied_nonneg(ctx: Context, lin: Lin) -> bool:
     """ctx.implied with extra facts for exponent atoms: atom >= lin-part
     whenever the symbol is registered and the linear part is positive."""
-    extended = ctx
+    extra: list[Lin] = []
     for name, e in ctx.atom_registry().items():
         if name in lin.variables() and e.sym in ctx.syms and ctx.implied(e.lin - 1):
-            extended = extended.with_fact(Lin.var(name) - 1)
-            extended = extended.with_fact(Lin.var(name) - e.lin)
-    return extended.implied(lin)
+            extra += [Lin.var(name) - 1, Lin.var(name) - e.lin]
+    return ctx.implied(lin, tuple(extra))
 
 
 def verify_claim_in_context(ctx: Context, claim: IneqClaim, path: str) -> str | None:
@@ -227,14 +237,17 @@ def verify_claim_in_context(ctx: Context, claim: IneqClaim, path: str) -> str | 
             return f"slack {s}: {lin} >= 0 is not implied by the context"
     # map composed with inverse must be the identity on every mapped quantity
     for name, flin in claim.mapping:
-        acc: dict[str, Fraction] = {}
-        const = Fraction(flin.const)
+        # the composition times den, the lcm of the divisors it uses
+        den = math.lcm(*(inv[s][1] for s, _ in flin.coeffs))
+        const = flin.const * den
+        acc: dict[str, int] = {}
         for s, c in flin.coeffs:
             glin, d = inv[s]
-            const += Fraction(c * glin.const, d)
+            scale = c * (den // d)
+            const += scale * glin.const
             for v, gc in glin.coeffs:
-                acc[v] = acc.get(v, Fraction(0)) + Fraction(c * gc, d)
+                acc[v] = acc.get(v, 0) + scale * gc
         acc = {v: c for v, c in acc.items() if c}
-        if const != 0 or acc != {name: Fraction(1)}:
+        if const != 0 or acc != {name: den}:
             return f"map/inverse composition is not the identity on {name}"
     return None

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping
+from functools import cached_property
 from itertools import product as iproduct
 
 from .arith import _TRIAL_LIMIT, mult_order
@@ -551,14 +552,72 @@ class CongruenceFold:
     def first(self) -> tuple[int, ...] | None:
         """The lexicographically first solution class, or None when there is
         none: each variable in turn takes its least value that still leaves
-        a solution."""
+        a solution.  A group of several terms narrows to the residues whose
+        least cell (_tables) takes that value, since a residue's least cell
+        is also its least with any prefix that the cell itself starts with."""
         if self.is_empty():
             return None
         candidates, reach = list(self._candidates), dict(self._reach)
+        for j, (counts, _) in self._tables.items():
+            reach[j] = set(counts)
         for i in range(len(candidates)):
-            candidates[i] = [min(self._values(i, candidates, reach))]
-            reach.pop(self._group_of[i], None)
+            j = self._group_of[i]
+            if j in self._tables:
+                least, at = self._tables[j][1], self._groups[j].index(i)
+                live = reach[j] & self._need(j, candidates, reach)
+                value = min(least[r][at] for r in live)
+                reach[j] = {r for r in live if least[r][at] == value}
+                candidates[i] = [value]
+            else:
+                candidates[i] = [min(self._values(i, candidates, reach))]
+                reach.pop(j, None)
         return tuple(c[0] for c in candidates)
+
+    @cached_property
+    def _tables(self) -> dict[int, tuple[dict[int, int], dict[int, tuple[int, ...]]]]:
+        """For each group of several terms, its cells tabulated once by the
+        residue of their partial sum: residue -> number of cells, and
+        residue -> least cell.  The largest group keeps only the residues
+        the other groups leave it (_need), so its table is no larger than
+        their sumset."""
+        tables = {}
+        for j in range(len(self._groups)):
+            if len(self._terms[j]) != 1:
+                keep = self._need(j, self._candidates, self._reach) if j == self._big else None
+                tables[j] = self._tabulate(j, keep)
+        return tables
+
+    def _tabulate(self, j: int, keep: set[int] | None) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+        """_tables for group j, keeping the residues in keep (all when None).
+        The cells come in ascending order one row at a time: a row is the
+        last variable's candidates after one choice of the others, and its
+        partial sums are formed a column of table values at a time."""
+        m = self.modulus
+        *head, last = self._groups[j]
+        column = self._candidates[last]
+        at = {i: k for k, i in enumerate(head)}
+        terms = []  # coefficient, head lookups, and the last variable's values (None: unused)
+        for coef, tables in self._terms[j]:
+            values = [tables[-1][1][v] for v in column] if tables[-1][0] == last else None
+            terms.append((coef, [(at[i], table) for i, table in tables if i != last], values))
+        counts: dict[int, int] = {}
+        least: dict[int, tuple[int, ...]] = {}
+        for prefix in iproduct(*(self._candidates[i] for i in head)):
+            base, row = 0, [0] * len(column)
+            for t, lookups, values in terms:
+                for k, table in lookups:
+                    t *= table[prefix[k]]
+                if values is None:
+                    base += t
+                else:
+                    row = [s + t * f for s, f in zip(row, values)]
+            for v, total in zip(column, row):
+                r = (base + total) % m
+                if r in counts:
+                    counts[r] += 1
+                elif keep is None or r in keep:
+                    counts[r], least[r] = 1, (*prefix, v)
+        return counts, least
 
     def _stream(self, j: int | None, candidates: list[list[int]]) -> Iterable[int]:
         """The residues of group j's partial sum: for a monomial, a product
@@ -596,17 +655,14 @@ class CongruenceFold:
         sums = {0: 1}
         for k in range(len(self._groups)):
             if k != self._big:
-                counts: dict[int, int] = {}
-                for r, c in self._counted(k):
-                    counts[r] = counts.get(r, 0) + c
-                sums = _combine_counts(sums, counts, m, int.__add__)
-        return sum(c * sums.get((self._target - r) % m, 0) for r, c in self._counted(self._big))
+                sums = _combine_counts(sums, self._counted(k), m, int.__add__)
+        return sum(c * sums.get((self._target - r) % m, 0) for r, c in self._counted(self._big).items())
 
-    def _counted(self, j: int | None) -> Iterable[tuple[int, int]]:
-        """(residue, number of cells) pairs of group j's partial sum, as
-        _stream gives its residues."""
+    def _counted(self, j: int | None) -> dict[int, int]:
+        """Residue -> number of cells of group j's partial sum; for the
+        largest group of several terms, only the residues its table keeps."""
         if j is None:
-            return ((0, 1),)
+            return {0: 1}
         m = self.modulus
         if len(self._terms[j]) == 1:
             (coef, tables), = self._terms[j]
@@ -616,8 +672,8 @@ class CongruenceFold:
                 for v in self._candidates[i]:
                     values[table[v]] = values.get(table[v], 0) + 1
                 counts = _combine_counts(counts, values, m, int.__mul__)
-            return counts.items()
-        return ((total % m, 1) for total, _ in _side_sums(self._groups[j], self._candidates, self._compiled))
+            return counts
+        return self._tables[j][0]
 
     def _values(self, i: int, candidates: list[list[int]], reach: dict[int, set[int]]) -> set[int]:
         """The candidate values of variable i that some solution takes."""

@@ -13,9 +13,12 @@ identities, substitute variables, and evaluate exactly.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .record import Frozen
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["CONST_BITS_MAX", "Lin", "ExpExpr", "Power", "Term", "term_product"]
 
@@ -232,15 +235,16 @@ class Term(Frozen):
     def substitute(self, var: str, repl: Lin) -> "Term":
         return Term(self.coef, tuple(Power(p.base, p.exp.substitute(var, repl)) for p in self.powers))
 
-    def growth_ratio(self, deltas: dict[str, int]) -> Fraction:
-        """Exact factor this term gains when variables move by `deltas`.
+    def growth_pair(self, deltas: dict[str, int]) -> tuple[int, int]:
+        """Exact factor this term gains when variables move by `deltas`, as
+        a pair (numerator, denominator) of positive integers, not reduced.
 
         Only valid when every exponent's change is independent of the
         current point, i.e. for plain linear exponents, or symbol-scaled
         ones whose linear part does not change (the symbol itself must
         not move).
         """
-        ratio = Fraction(1)
+        num = den = 1
         for p in self.powers:
             e = p.exp
             if e.sym is not None:
@@ -253,10 +257,17 @@ class Term(Frozen):
                 continue
             d = sum(c * deltas.get(v, 0) for v, c in e.lin.coeffs)
             if d >= 0:
-                ratio *= Fraction(p.base**d)
+                num *= p.base**d
             else:
-                ratio *= Fraction(1, p.base**-d)
-        return ratio
+                den *= p.base**-d
+        return num, den
+
+    def growth_ratio(self, deltas: dict[str, int]) -> Fraction:
+        """growth_pair as a Fraction.  The verifier compares the pairs
+        themselves, so fractions is imported here, not with the module."""
+        from fractions import Fraction
+
+        return Fraction(*self.growth_pair(deltas))
 
     def __str__(self) -> str:
         parts = [str(p) for p in self.powers]

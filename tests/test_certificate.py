@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -19,7 +20,7 @@ from jesma.certificate import (
     verify_certificate,
     verify_inequality_step,
 )
-from jesma.certificate import context
+from jesma.certificate import context, engine
 from jesma.certificate.context import Context
 from jesma.certificate.ineq import IneqClaim, claim_from_json
 from jesma.certificate.model import MAX_TREE_DEPTH, Node, terms_to_json
@@ -709,10 +710,17 @@ def test_hostile_payload_value_ends_in_a_verdict(data):
 
 
 def _count_work(monkeypatch) -> dict:
-    """Count Fourier-Motzkin runs and exponent lower-bound proofs."""
-    counts = {"fm": 0, "bounds": 0}
+    """Count implication queries, Fourier-Motzkin runs, exponent lower-bound
+    proofs and congruence folds."""
+    counts = {"implied": 0, "fm": 0, "bounds": 0, "folds": 0}
+    real_implied = Context.implied
     real_infeasible = context._infeasible
     real_bound = Context.exp_lower_bound
+    real_fold = engine.congruence_fold
+
+    def implied(self, lin, *extra):
+        counts["implied"] += 1
+        return real_implied(self, lin, *extra)
 
     def infeasible(facts):
         counts["fm"] += 1
@@ -722,26 +730,33 @@ def _count_work(monkeypatch) -> dict:
         counts["bounds"] += 1
         return real_bound(self, e, cap)
 
+    def fold(*args, **kwargs):
+        counts["folds"] += 1
+        return real_fold(*args, **kwargs)
+
+    monkeypatch.setattr(Context, "implied", implied)
     monkeypatch.setattr(context, "_infeasible", infeasible)
     monkeypatch.setattr(Context, "exp_lower_bound", bound)
+    monkeypatch.setattr(engine, "congruence_fold", fold)
     return counts
 
 
 def test_theorem_verification_work_is_pinned(monkeypatch):
     # proving every bound up front and deciding each problem anew took 463
-    # Fourier-Motzkin runs and 133 bound proofs
+    # Fourier-Motzkin runs and 133 bound proofs; eliminating every problem
+    # once, with no single-fact shortcut, took 87 runs of the 140 queries
     counts = _count_work(monkeypatch)
     assert verify_certificate(Certificate.from_json(_shipped("theorem_20_99_101"))).valid
-    assert counts["fm"] <= 87 and counts["bounds"] <= 26, counts
+    assert counts == {"implied": 140, "fm": 39, "bounds": 26, "folds": 35}, counts
 
 
 def test_each_verification_has_its_own_memo(monkeypatch):
     memos: list[list] = []
     real_implied = Context.implied
 
-    def implied(self, lin):
+    def implied(self, lin, *extra):
         memos[-1].append(self.memo)
-        return real_implied(self, lin)
+        return real_implied(self, lin, *extra)
 
     monkeypatch.setattr(Context, "implied", implied)
     cert = Certificate.from_json(_shipped("theorem_20_99_101"))
@@ -802,10 +817,24 @@ def _all_verdicts() -> list[tuple[str, bool, str, str]]:
 VERDICT_DIGEST = "b4620ea7c3f61ec8f5eb4d2ee28a3350dde434c3e4ab428329924e91a8d76155"
 
 
+def _digest(verdicts) -> str:
+    return hashlib.sha256(json.dumps(verdicts, ensure_ascii=False).encode()).hexdigest()
+
+
 def test_verdict_digest_is_pinned():
     verdicts = _all_verdicts()
     assert len(verdicts) == 3 + 15 + 11 + 11 + len(HOSTILE_EDITS)
     valid = [name for name, is_valid, _, _ in verdicts if is_valid]
     assert valid == ["shipped/mod17_kill", "shipped/subcase_z_lt_x_lt_y", "shipped/theorem_20_99_101"]
-    text = json.dumps(verdicts, ensure_ascii=False)
-    assert hashlib.sha256(text.encode()).hexdigest() == VERDICT_DIGEST, text
+    assert _digest(verdicts) == VERDICT_DIGEST, json.dumps(verdicts, ensure_ascii=False)
+
+
+if __name__ == "__main__":
+    # The digest check as a plain script, for `python -O`, which strips the
+    # asserts a pytest run would rest on; exits 1 when the digest differs:
+    #   PYTHONPATH=src python -O tests/test_certificate.py --check-digest
+    if sys.argv[1:] != ["--check-digest"]:
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --check-digest")
+    digest = _digest(_all_verdicts())
+    print(f"verdict digest {digest}: {'pinned' if digest == VERDICT_DIGEST else 'DIFFERS from ' + VERDICT_DIGEST}")
+    sys.exit(digest != VERDICT_DIGEST)

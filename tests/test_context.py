@@ -12,6 +12,7 @@ from jesma.certificate.context import (
     RESIDUE_MODULUS_MAX,
     Context,
     _eliminate,
+    _infeasible,
     _normalize_fact,
     refine_residues,
 )
@@ -122,6 +123,50 @@ def test_implied_rounds_after_substitution():
             for c in range(-1, 10):
                 for q in (x - c, x * -1 + c):
                     assert ctx.implied(q) == _implied_reference(ctx, q), (lo, hi, m, r, q)
+
+
+@st.composite
+def _fact_systems(draw):
+    """A context of 2 to 4 variables and a few facts, with singleton
+    residues or without; queries, half of them a fact with its constant
+    moved or scaled, so that one fact often decides them; and extra facts."""
+    names = ("a", "b", "c", "d")[: draw(st.integers(2, 4))]
+    lins = st.builds(
+        lambda coeffs, const: Lin.of(const, **dict(zip(names, coeffs))),
+        st.lists(st.integers(-3, 3), min_size=len(names), max_size=len(names)),
+        st.integers(-5, 5),
+    )
+    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
+    facts = draw(st.lists(lins, min_size=1, max_size=5))
+    for lin in facts:
+        ctx = ctx.with_fact(lin)
+    if draw(st.booleans()):
+        for name in draw(st.sets(st.sampled_from(names), max_size=2)):
+            m = draw(st.integers(2, 4))
+            ctx = ctx.with_residue(name, m, {draw(st.integers(0, m - 1))})
+    near = st.builds(
+        lambda lin, k, d: lin * k + d, st.sampled_from(facts), st.integers(1, 3), st.integers(-2, 3)
+    )
+    queries = draw(st.lists(st.one_of(lins, near), min_size=1, max_size=6))
+    return ctx, queries, tuple(draw(st.lists(lins, max_size=2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fact_systems())
+def test_implied_fast_path_matches_elimination(system):
+    """implied answers as elimination of the system plus the negated query
+    does, whether a single fact decides the query or not, and extra facts
+    count as the facts of the context that with_fact builds."""
+    ctx, queries, extra = system
+    grown = ctx
+    for lin in extra:
+        grown = grown.with_fact(lin)
+    for lin in queries:
+        neg = lin * -1 - 1
+        for c in (ctx, grown):
+            facts, subst = c._system
+            assert c.implied(lin) == _infeasible((*facts, c._transform(neg.as_dict(), neg.const, subst))), lin
+        assert ctx.implied(lin, extra) == grown.implied(lin), lin
 
 
 @settings(max_examples=150, deadline=None)

@@ -562,6 +562,22 @@ def test_fold_matches_join_on_grouped_tori(terms, m, ops, order_cap, contradict)
     _check_fold(terms, m, ops, order_cap, contradict)
 
 
+def test_fold_count_and_first_keep_only_the_residues_needed():
+    # the one group (x, y) of 2^x - 2^(x+y) mod 383521 has 73,984 cells and
+    # reaches about half as many residues; the count and the first class
+    # keep only the residue 0 that the sum must reach
+    terms = [Term.of(1, (2, v("x"))), Term.of(-1, (2, ExpExpr(Lin.of(0, x=1, y=1))))]
+    fold = congruence_fold(terms, 383521, ConstraintSet.none())
+    assert not fold.is_empty()
+    tracemalloc.start()
+    try:
+        assert len(fold) == 272 and fold.first() == (0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_fold_reads_no_torus_cell_of_a_monomial_group():
     # the mod 17 kill: z against the monomial 99^y*2^a*5^b, which folds as
     # a product set; only a group of several terms enumerates its cells

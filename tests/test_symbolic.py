@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+import jesma
+from jesma.certificate.ineq import _BY_RATIO, _ratio_text, check_ratio_rule
 from jesma.symbolic import ExpExpr, Lin, Term, term_product
 
 
@@ -57,3 +64,40 @@ def test_growth_ratio():
         sym.growth_ratio({"y": 1})
     with pytest.raises(ValueError):
         sym.growth_ratio({"r": 1})
+
+
+def test_growth_pair_is_not_reduced():
+    t = Term.of(1, (4, ExpExpr(Lin.var("u"))), (2, ExpExpr(Lin.of(0, u=-1))))
+    assert t.growth_pair({"u": 1}) == (4, 2)
+    assert t.growth_ratio({"u": 1}) == 2
+
+
+_pairs = st.tuples(st.integers(1, 200), st.integers(1, 200))
+
+
+@given(_pairs, st.lists(_pairs, min_size=1, max_size=6))
+def test_ratio_pairs_print_and_order_as_fractions(pair, pairs):
+    assert _ratio_text(*pair) == str(Fraction(*pair))
+    assert sorted(pairs, key=_BY_RATIO) == sorted(pairs, key=lambda p: Fraction(*p))
+    assert min(pairs, key=_BY_RATIO) == min(pairs, key=lambda p: Fraction(*p))
+    assert max(pairs, key=_BY_RATIO) == max(pairs, key=lambda p: Fraction(*p))
+
+
+def test_ratio_rule_names_the_growth_factors():
+    s, minus_s = ExpExpr(Lin.var("s")), ExpExpr(Lin.of(0, s=-1))
+    # 5 > 2^s holds at s = 0, but the factors along s, 1 and 2, are one apart
+    lhs, rhs = (Term.of(5),), (Term.of(1, (2, s)),)
+    assert check_ratio_rule(lhs, rhs, ("s",), True) == "growth along s: left factor 1 < right factor 2"
+    # the factors 1/2 and 4/6, each printed in lowest terms
+    lhs, rhs = (Term.of(7, (2, minus_s)),), (Term.of(1, (4, s), (6, minus_s)),)
+    assert check_ratio_rule(lhs, rhs, ("s",), True) == "growth along s: left factor 1/2 < right factor 2/3"
+    assert check_ratio_rule(rhs, lhs, ("s",), False) == "base case fails: 1 >= 7 is false"
+
+
+def test_import_loads_no_fractions_or_decimal():
+    src = str(Path(jesma.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, jesma.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
