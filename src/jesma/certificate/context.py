@@ -91,33 +91,22 @@ def _term_form(t: Term) -> tuple:
     if t.coef == 0:
         raise ValueError("zero coefficient term")
     sign = 1 if t.coef > 0 else -1
-    # prime -> the linear exponent it gets from the coefficient and the
-    # plain powers, as coefficients by variable and a constant
-    coeffs: dict[int, dict[str, int]] = {}
-    consts: dict[int, int] = {}
+    plain: dict[int, Lin] = {}
     symbolic: dict[tuple[int, str, tuple], tuple[Lin, int, int]] = {}
     for prime, e in factorize_bounded(abs(t.coef)):
-        consts[prime] = consts.get(prime, 0) + e
+        plain[prime] = plain.get(prime, Lin.const_of(0)) + e
     for p in t.powers:
         e = p.exp
         if p.base == 1:
             continue
         for prime, mult in factorize_bounded(p.base):
             if e.sym is None:
-                consts[prime] = consts.get(prime, 0) + e.lin.const * mult
-                cs = coeffs.setdefault(prime, {})
-                for v, c in e.lin.coeffs:
-                    cs[v] = cs.get(v, 0) + c * mult
+                plain[prime] = plain.get(prime, Lin.const_of(0)) + e.lin * mult
             else:
                 key = (prime, e.sym, e.lin.key())
                 lin, off, count = symbolic.get(key, (e.lin, 0, 0))
                 symbolic[key] = (lin, off + e.off * mult, count + mult)
-    pows = []
-    for prime in consts.keys() | coeffs.keys():
-        cs = tuple(sorted((v, c) for v, c in coeffs.get(prime, {}).items() if c))
-        const = consts.get(prime, 0)
-        if cs or const:
-            pows.append((prime, ExpExpr(Lin(cs, const)).key()))
+    pows = [(b, ExpExpr(lin).key()) for b, lin in plain.items() if lin.key() != ((), 0)]
     pows += [
         (prime, ExpExpr(lin * count, sym, off).key())
         for (prime, sym, _), (lin, off, count) in symbolic.items()
@@ -280,12 +269,7 @@ class Context(Frozen):
         # from; the context is frozen and replace() makes a new object, so
         # the cache cannot go stale
         subst = self._residue_substitution()
-        # a fact is stored normalized, so one with no substituted variable
-        # is its own transform
-        facts = [
-            self._transform(dict(cs), d, subst) if any(v in subst for v, _ in cs) else (cs, d)
-            for cs, d in self.facts
-        ]
+        facts = [self._transform(dict(cs), d, subst) for cs, d in self.facts]
         for s in self.syms:
             facts.append(self._transform({s: 1}, -1, subst))
         return tuple(facts), subst

@@ -388,30 +388,61 @@ def _groups(n: int, compiled: list[tuple[int, list[tuple[int, list[int]]]]]) -> 
     return [sorted(g) for g in groups]
 
 
+def _side_rows(
+    side: list[int],
+    candidates: list[list[int]],
+    compiled: list[tuple[int, list[tuple[int, list[int]]]]],
+):
+    """Yield (prefix, sums) for each row of the sub-torus on the variables
+    at the indices in side, which ascend and are not empty.  A row is one
+    choice of values for every variable but the last, in ascending order,
+    and sums[k] is the sum, not yet reduced mod m, of the compiled terms on
+    those variables at the cell prefix + (candidates[last][k],).  A row's
+    sums are formed a column of table values at a time.
+    """
+    *head, last = side
+    column = candidates[last]
+    at = {i: k for k, i in enumerate(side)}
+    flat, lined = [], []  # terms without and with the last variable
+    for coef, tables in compiled:
+        if tables[0][0] in at:
+            lookups = [(at[i], table) for i, table in tables if i != last]
+            if tables[-1][0] == last:
+                lined.append((coef, lookups, [tables[-1][1][v] for v in column]))
+            else:
+                flat.append((coef, lookups))
+    for prefix in iproduct(*(candidates[i] for i in head)):
+        # exact products of table entries, reduced by the caller
+        base = 0
+        for t, lookups in flat:
+            for k, table in lookups:
+                t *= table[prefix[k]]
+            base += t
+        sums = [base] * len(column)
+        for t, lookups, values in lined:
+            for k, table in lookups:
+                t *= table[prefix[k]]
+            sums = [s + t * f for s, f in zip(sums, values)]
+        yield prefix, sums
+
+
 def _side_sums(
     side: list[int],
     candidates: list[list[int]],
     compiled: list[tuple[int, list[tuple[int, list[int]]]]],
 ):
     """Yield (partial sum, values) for each cell of the sub-torus on the
-    variables at the indices in side: the sum, not yet reduced mod m, of
-    the compiled terms on those variables, and the cell's values in side
-    order.
+    variables at the indices in side (ascending), the cells in ascending
+    order: the sum, not yet reduced mod m, of the compiled terms on those
+    variables, and the cell's values in side order.
     """
-    at = {i: k for k, i in enumerate(side)}
-    terms = [
-        (coef, [(at[i], table) for i, table in tables])
-        for coef, tables in compiled
-        if tables[0][0] in at
-    ]
-    for combo in iproduct(*(candidates[i] for i in side)):
-        # exact products of table entries, reduced once per cell
-        total = 0
-        for t, tables in terms:
-            for k, table in tables:
-                t *= table[combo[k]]
-            total += t
-        yield total, combo
+    if not side:
+        yield 0, ()
+        return
+    column = candidates[side[-1]]
+    for prefix, sums in _side_rows(side, candidates, compiled):
+        for v, total in zip(column, sums):
+            yield total, (*prefix, v)
 
 
 def _compile_terms(
@@ -464,7 +495,7 @@ class CongruenceFold:
 
     A group of one term (a monomial such as 99^y*2^a*5^b) folds as a
     product set of its variables' table values; a group of several terms
-    enumerates its own cells (_side_sums); across groups the residues
+    enumerates its own cells (_side_rows); across groups the residues
     combine as a sumset mod m.  No cell of the whole torus is listed, so a
     question costs about the sum of the groups' sizes, not their product.
     The group with the most cells is met against the sumset of the others
@@ -579,45 +610,25 @@ class CongruenceFold:
         residue of their partial sum: residue -> number of cells, and
         residue -> least cell.  The largest group keeps only the residues
         the other groups leave it (_need), so its table is no larger than
-        their sumset."""
+        their sumset.  The rows (_side_rows) come in ascending order, so the
+        first cell seen with a residue is its least."""
+        m = self.modulus
         tables = {}
-        for j in range(len(self._groups)):
+        for j, group in enumerate(self._groups):
             if len(self._terms[j]) != 1:
                 keep = self._need(j, self._candidates, self._reach) if j == self._big else None
-                tables[j] = self._tabulate(j, keep)
+                counts: dict[int, int] = {}
+                least: dict[int, tuple[int, ...]] = {}
+                column = self._candidates[group[-1]]
+                for prefix, sums in _side_rows(group, self._candidates, self._compiled):
+                    for v, total in zip(column, sums):
+                        r = total % m
+                        if r in counts:
+                            counts[r] += 1
+                        elif keep is None or r in keep:
+                            counts[r], least[r] = 1, (*prefix, v)
+                tables[j] = counts, least
         return tables
-
-    def _tabulate(self, j: int, keep: set[int] | None) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
-        """_tables for group j, keeping the residues in keep (all when None).
-        The cells come in ascending order one row at a time: a row is the
-        last variable's candidates after one choice of the others, and its
-        partial sums are formed a column of table values at a time."""
-        m = self.modulus
-        *head, last = self._groups[j]
-        column = self._candidates[last]
-        at = {i: k for k, i in enumerate(head)}
-        terms = []  # coefficient, head lookups, and the last variable's values (None: unused)
-        for coef, tables in self._terms[j]:
-            values = [tables[-1][1][v] for v in column] if tables[-1][0] == last else None
-            terms.append((coef, [(at[i], table) for i, table in tables if i != last], values))
-        counts: dict[int, int] = {}
-        least: dict[int, tuple[int, ...]] = {}
-        for prefix in iproduct(*(self._candidates[i] for i in head)):
-            base, row = 0, [0] * len(column)
-            for t, lookups, values in terms:
-                for k, table in lookups:
-                    t *= table[prefix[k]]
-                if values is None:
-                    base += t
-                else:
-                    row = [s + t * f for s, f in zip(row, values)]
-            for v, total in zip(column, row):
-                r = (base + total) % m
-                if r in counts:
-                    counts[r] += 1
-                elif keep is None or r in keep:
-                    counts[r], least[r] = 1, (*prefix, v)
-        return counts, least
 
     def _stream(self, j: int | None, candidates: list[list[int]]) -> Iterable[int]:
         """The residues of group j's partial sum: for a monomial, a product

@@ -582,7 +582,10 @@ def test_fold_reads_no_torus_cell_of_a_monomial_group():
     # the mod 17 kill: z against the monomial 99^y*2^a*5^b, which folds as
     # a product set; only a group of several terms enumerates its cells
     cons = ConstraintSet.none().with_parity("z", 0)
-    with mock.patch.object(sieve, "_side_sums", side_effect=AssertionError("cells enumerated")):
+    listed = AssertionError("cells enumerated")
+    with mock.patch.object(sieve, "_side_sums", side_effect=listed), mock.patch.object(
+        sieve, "_side_rows", side_effect=listed
+    ):
         fold = congruence_fold(KILL_TERMS, 17, cons)
         assert fold.is_empty() and fold.first() is None and fold.project("y") == frozenset()
         fold = congruence_fold(KILL_TERMS, 19, cons)
