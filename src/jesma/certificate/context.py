@@ -156,13 +156,6 @@ class ProvenInequality(Frozen):
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "strict", strict)
 
-    def substituted(self, var: str, repl: Lin) -> "ProvenInequality":
-        return ProvenInequality(
-            tuple(t.substitute(var, repl) for t in self.lhs),
-            tuple(t.substitute(var, repl) for t in self.rhs),
-            self.strict,
-        )
-
 
 class Context(Frozen):
     """The facts of one proof branch.  Each dict left out is a new empty
@@ -171,7 +164,7 @@ class Context(Frozen):
 
     _fields = (
         "triple", "k_min", "excluded", "equation_form", "ordering", "equations", "facts", "residues",
-        "syms", "pattern", "divisibilities", "proven", "fixed", "conflict", "memo",
+        "syms", "pattern", "divisibilities", "fixed", "conflict", "memo",
     )
     _compared = _shown = _fields[:-1]
 
@@ -188,7 +181,6 @@ class Context(Frozen):
         syms: tuple[str, ...] = (),
         pattern: tuple[int, ...] | None = None,  # primes of k dividing the isolated base
         divisibilities: tuple[DivisibilityFact, ...] = (),
-        proven: tuple[ProvenInequality, ...] = (),
         fixed: dict = FRESH,  # name -> pinned integer value
         conflict: str | None = None,
         memo: VerificationMemo = FRESH,
@@ -204,7 +196,6 @@ class Context(Frozen):
         object.__setattr__(self, "syms", syms)
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "divisibilities", divisibilities)
-        object.__setattr__(self, "proven", proven)
         object.__setattr__(self, "fixed", {} if fixed is FRESH else fixed)
         object.__setattr__(self, "conflict", conflict)
         object.__setattr__(self, "memo", VerificationMemo() if memo is FRESH else memo)
@@ -238,9 +229,6 @@ class Context(Frozen):
 
     def with_divisibility(self, fact: DivisibilityFact) -> "Context":
         return replace(self, divisibilities=self.divisibilities + (fact,))
-
-    def with_proven(self, ineq: ProvenInequality) -> "Context":
-        return replace(self, proven=self.proven + (ineq,))
 
     # -- linear implication ------------------------------------------------------
 
@@ -351,14 +339,9 @@ class Context(Frozen):
 
     def atom_registry(self) -> dict[str, ExpExpr]:
         atoms: dict[str, ExpExpr] = {}
-        for lhs, rhs in self.equations.values():
-            for t in list(lhs) + list(rhs):
-                for p in t.powers:
-                    if p.exp.sym is not None:
-                        bare = ExpExpr(p.exp.lin, p.exp.sym)
-                        atoms[bare.atom_name()] = bare
-        for f in self.divisibilities:
-            for p in f.divisor.powers:
+        terms = [t for lhs, rhs in self.equations.values() for t in (*lhs, *rhs)]
+        for t in terms + [f.divisor for f in self.divisibilities]:
+            for p in t.powers:
                 if p.exp.sym is not None:
                     bare = ExpExpr(p.exp.lin, p.exp.sym)
                     atoms[bare.atom_name()] = bare
@@ -432,5 +415,4 @@ class Context(Frozen):
             facts=tuple(facts),
             residues=res,
             divisibilities=tuple(f.substituted(var, repl) for f in self.divisibilities),
-            proven=tuple(p.substituted(var, repl) for p in self.proven),
         )._parity_closure()

@@ -105,9 +105,7 @@ def _initial_context(cert: Certificate) -> Context:
             cls = OrderingClass(eq["ordering"])
             if not cls.is_strict():
                 raise MalformedCertificateError("$.equation", "scoped ordering must be strict")
-            ctx = replace(ctx, ordering=cls)
-            for fact in _ordering_facts(cls):
-                ctx = ctx.with_fact(fact)
+            ctx = _in_ordering(ctx, cls)
         return ctx
     if form == "congruence":
         terms = terms_from_json(eq.get("terms", []), "$.equation.terms")
@@ -137,7 +135,7 @@ def _verify_node(node: Node, ctx: Context, path: str) -> None:
     if handler is None:
         raise _Invalid(path, f"unknown step kind {kind!r}")
     try:
-        children_ctx = handler(node.step, ctx, path, len(node.children))
+        children_ctx = handler(node.step, ctx, path)
     except MalformedCertificateError:
         raise
     except FactoringLimitError as e:  # an integer the verifier will not factor proves nothing
@@ -157,7 +155,7 @@ def _verify_node(node: Node, ctx: Context, path: str) -> None:
 # -- split and transform steps ----------------------------------------------------
 
 
-def _apply_ordering_split(step: dict, ctx: Context, path: str, n_children: int):
+def _apply_ordering_split(step: dict, ctx: Context, path: str):
     if ctx.ordering is not None:
         raise _Invalid(path, "ordering already split")
     if ctx.equation_form != "pythag-exp":
@@ -166,26 +164,21 @@ def _apply_ordering_split(step: dict, ctx: Context, path: str, n_children: int):
     if sorted(cases) != sorted(_ALL_CLASSES):
         missing = sorted(set(_ALL_CLASSES) - set(cases))
         raise _Invalid(path, f"ordering split is not exhaustive: missing {missing}")
-    out = []
-    for case in cases:
-        cls = OrderingClass(case)
-        child = replace(ctx, ordering=cls)  # only the root splits orderings: ctx is the initial context
-        for fact in _ordering_facts(cls):
-            child = child.with_fact(fact)
-        out.append(child)
-    return out
+    # only the root splits orderings: ctx is the initial context
+    return [_in_ordering(ctx, OrderingClass(case)) for case in cases]
 
 
-def _ordering_facts(cls: OrderingClass) -> tuple[Lin, ...]:
-    """e2 - e1 - 1 >= 0 and e3 - e2 - 1 >= 0 for the exponents e1 < e2 < e3
-    of a strict class; a class that is not strict gives no facts."""
-    if not cls.is_strict():
-        return ()
-    e1, e2, e3 = cls.ascending()
-    return (Lin.var(e2) - Lin.var(e1) - 1, Lin.var(e3) - Lin.var(e2) - 1)
+def _in_ordering(ctx: Context, cls: OrderingClass) -> Context:
+    """ctx in class cls, with e2 - e1 - 1 >= 0 and e3 - e2 - 1 >= 0 for the
+    exponents e1 < e2 < e3 of a strict class; other classes add no facts."""
+    ctx = replace(ctx, ordering=cls)
+    if cls.is_strict():
+        e1, e2, e3 = cls.ascending()
+        ctx = ctx.with_fact(Lin.var(e2) - Lin.var(e1) - 1).with_fact(Lin.var(e3) - Lin.var(e2) - 1)
+    return ctx
 
 
-def _apply_valuation_split(step: dict, ctx: Context, path: str, n_children: int):
+def _apply_valuation_split(step: dict, ctx: Context, path: str):
     if ctx.ordering is None or not ctx.ordering.is_strict():
         raise _Invalid(path, "valuation split needs a strict ordering context")
     if ctx.pattern is not None:
@@ -198,12 +191,12 @@ def _apply_valuation_split(step: dict, ctx: Context, path: str, n_children: int)
     if sorted(map(tuple, declared)) != sorted(map(tuple, expected)):
         raise _Invalid(path, f"valuation split must cover all subsets of {primes}")
     return [
-        replace(ctx, pattern=tuple(sorted(int(p) for p in case)), residues={}, proven=(), conflict=None)
+        replace(ctx, pattern=tuple(sorted(int(p) for p in case)), residues={}, conflict=None)
         for case in step.get("cases", [])
     ]
 
 
-def _apply_k_factor(step: dict, ctx: Context, path: str, n_children: int):
+def _apply_k_factor(step: dict, ctx: Context, path: str):
     if ctx.pattern is None:
         raise _Invalid(path, "k-factor needs a valuation-split pattern")
     if ctx.equations:
@@ -236,7 +229,7 @@ def _apply_k_factor(step: dict, ctx: Context, path: str, n_children: int):
     return [child]
 
 
-def _apply_substitute(step: dict, ctx: Context, path: str, n_children: int):
+def _apply_substitute(step: dict, ctx: Context, path: str):
     var = step.get("var")
     new = step.get("new")
     stride = int(step.get("stride", "0"))
@@ -252,10 +245,12 @@ def _apply_substitute(step: dict, ctx: Context, path: str, n_children: int):
     used = set(ctx.residues) | {v for cs, _ in ctx.facts for v, _ in cs} | set(ctx.syms)
     if new in used or new == var:
         raise _Invalid(path, f"new variable {new} is already in use")
+    if not (isinstance(new, str) and new.isidentifier()):  # else 2*(x+1) could spell an atom's name
+        raise _Invalid(path, f"new variable {new!r} is not an identifier")
     return [ctx.substituted(var, stride, new)]
 
 
-def _apply_congruence(step: dict, ctx: Context, path: str, n_children: int):
+def _apply_congruence(step: dict, ctx: Context, path: str):
     fold = _fold_congruence(step, ctx, path)
     if fold.is_empty():
         raise _Invalid(path, "congruence has no solutions: use a contradiction step")
@@ -283,12 +278,17 @@ def _apply_congruence(step: dict, ctx: Context, path: str, n_children: int):
     return [ctx]
 
 
-def _fold_congruence(step: dict, ctx: Context, path: str):
+def _equation(step: dict, ctx: Context, path: str):
+    """The id, left side and right side of the equation the step names."""
     eq_id = step.get("eq", "main")
     if eq_id not in ctx.equations:
         raise _Invalid(path, f"unknown equation {eq_id!r}")
+    return (eq_id, *ctx.equations[eq_id])
+
+
+def _fold_congruence(step: dict, ctx: Context, path: str):
+    _, lhs, rhs = _equation(step, ctx, path)
     m = int(step["modulus"])
-    lhs, rhs = ctx.equations[eq_id]
     terms = list(lhs) + [t.scaled(-1) for t in rhs]
     cons = _sieve_constraints(ctx, terms, m)
     try:
@@ -375,7 +375,7 @@ class _ProvenBounds(Mapping):
         return sum(1 for _ in self)
 
 
-def _apply_residue_split(step: dict, ctx: Context, path: str, n_children: int):
+def _apply_residue_split(step: dict, ctx: Context, path: str):
     name = step.get("name")
     m = int(step["modulus"])
     cases = [frozenset(int(r) % m for r in case) for case in step["cases"]]
@@ -394,13 +394,10 @@ def _exp_double(e: ExpExpr) -> ExpExpr:
     return ExpExpr(e.lin * 2, e.sym, 2 * e.off)
 
 
-def _apply_factor_split(step: dict, ctx: Context, path: str, n_children: int):
-    eq_id = step.get("eq", "main")
-    if eq_id not in ctx.equations:
-        raise _Invalid(path, f"unknown equation {eq_id!r}")
+def _apply_factor_split(step: dict, ctx: Context, path: str):
+    eq_id, lhs, rhs = _equation(step, ctx, path)
     p_pow = Power(int(step["p"]["base"]), exp_from_json(step["p"]["exp"], f"{path}.p"))
     q_pow = Power(int(step["q"]["base"]), exp_from_json(step["q"]["exp"], f"{path}.q"))
-    lhs, rhs = ctx.equations[eq_id]
     signed = list(lhs) + [t.scaled(-1) for t in rhs]
     if len(signed) != 3:
         raise _Invalid(path, "factor split needs an equation with exactly three terms")
@@ -507,7 +504,7 @@ def _apply_factor_split(step: dict, ctx: Context, path: str, n_children: int):
         placement = case.get("placement", {})
         child = replace(ctx, fixed={}, conflict=None)
         if complete:
-            fm, fp = _build_factors(combined, odd_parts, two_exp, g, placement, path, i)
+            fm, fp = _build_factors(odd_parts, two_exp, placement)
             fm_json = term_from_json(case.get("fminus", {}), f"{path}.cases[{i}].fminus")
             fp_json = term_from_json(case.get("fplus", {}), f"{path}.cases[{i}].fplus")
             if not ctx.terms_equal([fm_json], [fm]) or not ctx.terms_equal([fp_json], [fp]):
@@ -535,7 +532,7 @@ def _placement_vectors(part_names: list[str]) -> list[tuple]:
     return [tuple(sorted(v)) for v in vectors]
 
 
-def _build_factors(combined, odd_parts, two_exp, g, placement, path, i):
+def _build_factors(odd_parts, two_exp, placement):
     minus_pows: list[Power] = []
     plus_pows: list[Power] = []
     for name, side in placement.items():
@@ -554,9 +551,9 @@ def _build_factors(combined, odd_parts, two_exp, g, placement, path, i):
     return Term(1, tuple(minus_pows)), Term(1, tuple(plus_pows))
 
 
-def _apply_inequality(step: dict, ctx: Context, path: str, n_children: int):
-    fact = _verify_chain(step.get("claims", []), ctx, path)
-    return [ctx.with_proven(fact)]
+def _apply_inequality(step: dict, ctx: Context, path: str):
+    _verify_chain(step.get("claims", []), ctx, path)
+    return [ctx]
 
 
 def _verify_chain(claim_objs, ctx: Context, path: str) -> ProvenInequality:
@@ -595,7 +592,7 @@ def _verify_chain(claim_objs, ctx: Context, path: str) -> ProvenInequality:
 # -- contradiction leaves -----------------------------------------------------------
 
 
-def _apply_contradiction(step: dict, ctx: Context, path: str, n_children: int):
+def _apply_contradiction(step: dict, ctx: Context, path: str):
     reason = step.get("reason")
     checker = _CONTRADICTIONS.get(reason)
     if checker is None:
@@ -655,10 +652,8 @@ def _positive_form(lhs, rhs):
 
 
 def _contr_equation_impossible(step: dict, ctx: Context, path: str) -> None:
-    eq_id = step.get("eq", "main")
-    if eq_id not in ctx.equations:
-        raise _Invalid(path, f"unknown equation {eq_id!r}")
-    lhs, rhs = _positive_form(*ctx.equations[eq_id])
+    _, lhs, rhs = _equation(step, ctx, path)
+    lhs, rhs = _positive_form(lhs, rhs)
     larger = step.get("larger")
     if larger == "lhs":
         big, small = lhs, rhs

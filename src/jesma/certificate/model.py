@@ -9,9 +9,8 @@ any magnitude; canonical JSON has sorted keys and no whitespace.
 from __future__ import annotations
 
 import json
+import os
 import re
-from importlib import resources
-from typing import Any
 
 from ..record import FRESH, Frozen
 from ..symbolic import ExpExpr, Lin, Power, Term
@@ -69,7 +68,7 @@ def lin_from_json(obj: dict, path: str = "lin", atoms: bool = False) -> Lin:
 
 
 def exp_to_json(e: ExpExpr) -> dict:
-    out: dict[str, Any] = {"lin": lin_to_json(e.lin)}
+    out: dict = {"lin": lin_to_json(e.lin)}
     if e.sym is not None:
         out["sym"] = e.sym
     if e.off:
@@ -205,7 +204,7 @@ class Certificate(Frozen):
         )
 
 
-def canonical_json(obj: Any) -> str:
+def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -235,8 +234,12 @@ def builtin_certificates() -> list[Certificate]:
     They are data like any other certificate: the verifier trusts nothing
     in them and re-derives every step.
     """
-    data = resources.files("jesma.data")
-    return [loads_certificate(data.joinpath(name).read_text()) for name in _BUILTIN_FILES]
+    data = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
+    out = []
+    for name in _BUILTIN_FILES:
+        with open(os.path.join(data, name), encoding="utf-8") as f:
+            out.append(loads_certificate(f.read()))
+    return out
 
 
 def killing_certificate(terms, constraints, modulus: int, title: str = "") -> Certificate:

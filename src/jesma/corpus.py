@@ -12,8 +12,8 @@ corpus cannot silently drift and an invalid entry is a diagnostic.
 from __future__ import annotations
 
 import json
+import os
 import time
-from importlib import resources
 
 from .record import Frozen
 from .search import FORMS, check_instance, find_solutions, scaled_bases
@@ -161,8 +161,8 @@ def load_corpus(text: str) -> tuple[list[CorpusEntry], list[str]]:
 
 
 def load_default_corpus() -> tuple[list[CorpusEntry], list[str]]:
-    text = resources.files("jesma.data").joinpath("corpus.json").read_text()
-    return load_corpus(text)
+    with open(os.path.join(os.path.dirname(__file__), "data", "corpus.json"), encoding="utf-8") as f:
+        return load_corpus(f.read())
 
 
 class EntryResult(Frozen):

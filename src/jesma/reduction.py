@@ -175,9 +175,6 @@ class KFactoredForm(Frozen):
         object.__setattr__(self, "reduced_rhs", reduced_rhs)
         object.__setattr__(self, "contradiction", contradiction)
 
-    def exponents_ascending(self) -> tuple[str, str, str]:
-        return self.ordering.ascending()
-
 
 DEFAULT_SYMBOLS = {2: "r", 3: "r", 5: "s", 11: "q", 101: "s"}
 
@@ -247,10 +244,10 @@ def _factor_k_core(
         (p, ExpExpr(Lin.var(e1) * e)) for p, e in b1_fact if p not in pattern
     ]
     if pattern:
-        lhs = [Term(1, tuple(_mk_powers(leftover)))]
+        lhs = [Term.of(1, *leftover)]
         rhs = [
             Term.of(1, (b2, ExpExpr(Lin.var(e2)))),
-            Term(sigma, tuple(_mk_powers([(b3, ExpExpr(Lin.var(e3)))] + k_powers))),
+            Term.of(sigma, (b3, ExpExpr(Lin.var(e3))), *k_powers),
         ]
     else:
         # k plays no role (it must be 1): the primitive equation itself
@@ -270,12 +267,6 @@ def _factor_k_core(
         reduced_rhs=tuple(rhs),
         contradiction=contradiction,
     )
-
-
-def _mk_powers(pairs):
-    from .symbolic import Power
-
-    return [Power(b, e) for b, e in pairs]
 
 
 def factor_k(t: Triple, k: int, ordering: OrderingClass) -> KFactoredForm:
@@ -309,7 +300,6 @@ def factor_k_symbolic(
     t: Triple,
     pattern: set[int],
     ordering: OrderingClass,
-    symbols: dict[int, str] | None = None,
 ) -> KFactoredForm:
     """Factor a symbolic k = prod(p^sym_p) * n1 with the given primes of
     the isolated base dividing k (each with valuation >= 1) and n1 coprime
@@ -320,10 +310,9 @@ def factor_k_symbolic(
     b1_primes = set(factorize(b1).primes())
     if not pattern <= b1_primes:
         raise ReductionError(f"pattern {pattern} not within primes {b1_primes} of base {b1}")
-    symbols = {**DEFAULT_SYMBOLS, **(symbols or {})}
     used: dict[int, str] = {}
     for p in sorted(pattern):
-        s = symbols.get(p)
+        s = DEFAULT_SYMBOLS.get(p)
         if s is None or s in used.values():
             s = f"v{p}"
         used[p] = s

@@ -13,12 +13,8 @@ identities, substitute variables, and evaluate exactly.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .record import Frozen
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = ["CONST_BITS_MAX", "Lin", "ExpExpr", "Power", "Term", "term_product"]
 
@@ -131,10 +127,6 @@ class ExpExpr(Frozen):
 
     def __hash__(self) -> int:
         return hash((self.lin, self.sym, self.off))
-
-    @staticmethod
-    def of(lin: Lin, sym: str | None = None, off: int = 0) -> "ExpExpr":
-        return ExpExpr(lin, sym, off)
 
     def variables(self) -> set[str]:
         out = self.lin.variables()
@@ -261,13 +253,6 @@ class Term(Frozen):
             else:
                 den *= p.base**-d
         return num, den
-
-    def growth_ratio(self, deltas: dict[str, int]) -> Fraction:
-        """growth_pair as a Fraction.  The verifier compares the pairs
-        themselves, so fractions is imported here, not with the module."""
-        from fractions import Fraction
-
-        return Fraction(*self.growth_pair(deltas))
 
     def __str__(self) -> str:
         parts = [str(p) for p in self.powers]

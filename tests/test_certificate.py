@@ -340,6 +340,28 @@ def test_kill_scan_refuses_a_lower_bound_on_an_atom():
     assert str(info.value) == "lower bound on 'r*(x)': a certificate states lower bounds on variables only"
 
 
+# 2^(2x+1) + 2^y = 12 at (x, y) = (1, 2), with y even.  Under y := 2*(x+1)
+# the exponent 2y would print as 2*x+1, the name of the atom 2x+1, whose
+# proven bound of 3 the sieve would then apply to both: a false kill mod 8.
+_ATOM_NAMED_TERMS = [Term.of(1, (2, ExpExpr(Lin.of(1, x=2)))), Term.of(1, (2, ExpExpr(Lin.var("y")))), Term.of(-12)]
+
+
+def _substitute_then_kill(new) -> Certificate:
+    leaf = {"step": {"kind": "contradiction", "reason": "empty-congruence", "eq": "main", "modulus": "8"}}
+    tree = {"step": {"kind": "substitute", "var": "y", "stride": "2", "new": new}, "children": [leaf]}
+    residues = {"y": {"modulus": "2", "residues": ["0"]}}
+    equation = {"form": "congruence", "terms": terms_to_json(_ATOM_NAMED_TERMS), "constraints": {"residues": residues}}
+    return Certificate("substitute then kill", equation, (), Node.from_json(tree))
+
+
+def test_substitute_new_variable_must_be_an_identifier():
+    assert verify_certificate(_substitute_then_kill("x+1")) == Verdict(
+        False, "$.tree", "new variable 'x+1' is not an identifier"
+    )
+    verdict = verify_certificate(_substitute_then_kill("w"))
+    assert verdict.path == "$.tree.children[0]" and verdict.reason.startswith("congruence not checkable")
+
+
 def test_certificate_agrees_with_search():
     """Sampled soundness: the certified statement holds for concrete k."""
     t = Triple(20, 99, 101)

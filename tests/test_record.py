@@ -103,10 +103,10 @@ SAMPLES = [
              ordering=OrderingClass.CASE_1_1, equations={"main": ((TX,), (TY,))}, facts=(((("x", 1),), -1),),
              residues={"z": (2, frozenset({0}))}, syms=("r",), pattern=(2,),
              divisibilities=(DivisibilityFact(TX, "-", Power(2, EX), Power(3, EY)),),
-             proven=(ProvenInequality((TX,), (TY,), True),), fixed={"y": 1}, conflict=None,
+             fixed={"y": 1}, conflict=None,
              memo=VerificationMemo()),
         dict(triple=None, k_min=1, excluded=(), equation_form="congruence", ordering=None, equations={}, facts=(),
-             residues={}, syms=(), pattern=None, divisibilities=(), proven=(), fixed={}, conflict="z",
+             residues={}, syms=(), pattern=None, divisibilities=(), fixed={}, conflict="z",
              memo=VerificationMemo({(): False})),
     ),
 ]
@@ -216,10 +216,19 @@ def test_context_caches_its_system_per_instance():
     assert "_system" in vars(ctx) and "_system" not in vars(replace(ctx))
 
 
-def test_import_loads_no_dataclasses():
+# Modules `import jesma.cli` must not load.  Run under -S, since a site
+# .pth file may import some of them (importlib.resources among them) at
+# every interpreter start and so hide jesma's own import.
+UNNEEDED = (
+    "dataclasses", "fractions", "decimal", "importlib.resources", "typing", "pathlib", "tempfile",
+    "concurrent.futures",
+)
+
+
+def test_cli_import_loads_no_unneeded_module():
     src = str(Path(jesma.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, jesma.cli; print('dataclasses' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    code = f"import sys, jesma.cli; print(sorted(set({UNNEEDED!r}) & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

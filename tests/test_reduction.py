@@ -136,7 +136,7 @@ def _check_structural_identity(t, k, ordering, samples=60):
     f = factor_k(t, k, ordering)
     if f.contradiction:
         return
-    e1, e2, e3 = f.exponents_ascending()
+    e1, e2, e3 = f.ordering.ascending()
     sign = -1 if e1 == "z" else 1
     b1 = {"x": t.u, "y": t.v, "z": t.w}[e1]
     from jesma.arith import factorize, valuation
