@@ -225,10 +225,20 @@ UNNEEDED = (
 )
 
 
-def test_cli_import_loads_no_unneeded_module():
+def _loaded_by_cli_import(modules, *flags):
+    """The names among `modules` that `import jesma.cli` leaves in sys.modules."""
     src = str(Path(jesma.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = f"import sys, jesma.cli; print(sorted(set({UNNEEDED!r}) & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    code = f"import sys, jesma.cli; print(sorted(set({tuple(modules)!r}) & set(sys.modules)))"
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_unneeded_module():
+    assert _loaded_by_cli_import(UNNEEDED, "-S") == "[]"
+
+
+def test_import_loads_no_dataclasses():
+    # With site: dataclasses stays out even after the .pth imports run.
+    assert _loaded_by_cli_import(["dataclasses"]) == "[]"

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+
+import jesma
 
 from jesma.certificate.ineq import _BY_RATIO, _ratio_text, check_ratio_rule
 from jesma.symbolic import ExpExpr, Lin, Term, term_product
@@ -87,3 +93,12 @@ def test_ratio_rule_names_the_growth_factors():
     lhs, rhs = (Term.of(7, (2, minus_s)),), (Term.of(1, (4, s), (6, minus_s)),)
     assert check_ratio_rule(lhs, rhs, ("s",), True) == "growth along s: left factor 1/2 < right factor 2/3"
     assert check_ratio_rule(rhs, lhs, ("s",), False) == "base case fails: 1 >= 7 is false"
+
+
+def test_import_loads_no_fractions_or_decimal():
+    src = str(Path(jesma.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, jesma.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
