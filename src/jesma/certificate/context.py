@@ -2,7 +2,9 @@
 
 Holds the current (rewritten) equations, linear inequalities, residue
 constraints on variables and exponent atoms, and the valuation-pattern
-bookkeeping.  Linear implications are decided by Fourier-Motzkin
+bookkeeping, and answers what an exponent can be on the branch: its
+residues, its lower bounds, and the constraints the sieve reads.
+Linear implications are decided by Fourier-Motzkin
 elimination with gcd rounding, so integer-only consequences such as
 "2*z1 - y - 1 >= 0 and y even imply 2*z1 - y - 2 >= 0" are available.
 
@@ -14,13 +16,13 @@ verification, and never carried over to the next.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 
 from ..arith import factorize_bounded
 from ..record import FRESH, Frozen, Record, replace
 from ..reduction import OrderingClass
-from ..sieve import RESIDUE_MODULUS_MAX, merge_residue, refine_residues
+from ..sieve import RESIDUE_MODULUS_MAX, ConstraintSet, merge_residue, refine_residues
 from ..symbolic import ExpExpr, Lin, Power, Term
 from ..triples import Triple
 
@@ -36,6 +38,9 @@ __all__ = [
 Fact = tuple[tuple[tuple[str, int], ...], int]  # (coeffs, const): sum + const >= 0
 
 _FM_FACT_CAP = 4000
+# How far past the sieve's cap a variable's lower bound is proved: an
+# exponent constant of a million bits would otherwise cost a proof per bit.
+_BOUND_SLACK_MAX = 1 << 16
 
 
 def _normalize_fact(coeffs: dict[str, int], const: int) -> Fact:
@@ -347,33 +352,48 @@ class Context(Frozen):
                     atoms[bare.atom_name()] = bare
         return atoms
 
-    def parity_of_lin(self, lin: Lin) -> int | None:
-        total = lin.const % 2
+    def lin_residues(self, lin: Lin, d: int) -> set[int]:
+        """All residues lin can take mod d given the branch's residues."""
+        options: list[set[int]] = []
         for v, c in lin.coeffs:
-            if c % 2 == 0:
+            if c % d == 0:
                 continue
-            par = self.parity_of_name(v)
-            if par is None:
-                return None
-            total = (total + par) % 2
-        return total
-
-    def parity_of_name(self, name: str) -> int | None:
-        if name in self.residues:
-            m, allowed = self.residues[name]
-            if m % 2 == 0:
-                pars = {a % 2 for a in allowed}
-                if len(pars) == 1:
-                    return next(iter(pars))
-        return None
+            if v in self.residues:
+                # the integers in the classes `allowed` mod m fall, mod d, on
+                # exactly the classes of those residues mod gcd(m, d)
+                m, allowed = self.residues[v]
+                g = math.gcd(m, d)
+                classes = {a % g for a in allowed}
+                values = [a for a in range(d) if a % g in classes]
+            else:
+                values = range(d)
+            options.append({(c * a) % d for a in values})
+        acc = {lin.const % d}
+        for opt in options:
+            acc = {(a + b) % d for a in acc for b in opt}
+            if len(acc) == d:
+                break
+        return acc
 
     def _parity_closure(self) -> "Context":
         # an exponent atom sym*(lin) is even whenever its linear part is
         ctx = self
         for name, e in self.atom_registry().items():
-            if ctx.parity_of_lin(e.lin) == 0 and ctx.parity_of_name(name) != 0:
+            if ctx.lin_residues(e.lin, 2) == {0} and ctx.lin_residues(Lin.var(name), 2) != {0}:
                 ctx = ctx._restricted(name, 2, {0})
         return ctx
+
+    # -- the sieve's constraints ---------------------------------------------------
+
+    def sieve_constraints(self, terms, m: int) -> ConstraintSet:
+        """The branch's residues and fixed values, with lower bounds the sieve
+        proves from the branch facts as it reads them."""
+        cons = ConstraintSet.none()
+        for name, (mm, allowed) in self.residues.items():
+            cons = cons.with_residue(name, mm, set(allowed))
+        for name, value in self.fixed.items():
+            cons = cons.with_fixed(name, value)
+        return replace(cons, lower_bounds=_ProvenBounds(self, terms, m.bit_length() + 1))
 
     # -- substitution --------------------------------------------------------------
 
@@ -416,3 +436,64 @@ class Context(Frozen):
             residues=res,
             divisibilities=tuple(f.substituted(var, repl) for f in self.divisibilities),
         )._parity_closure()
+
+
+class _ProvenBounds(Mapping):
+    """The lower bound the branch facts prove for each name the sieve reads:
+    each exponent of the terms, keyed by its bare atom (the sieve
+    re-applies offsets), and each variable and symbol in an exponent, as a
+    read-only mapping that proves a name's bound the first time it is read.
+
+    A name's bound counts when it is at least 1 and above the name's fixed
+    value.  A variable or symbol that is not fixed and has no counted bound
+    gets 0 when the facts prove it >= 0, as a stated lower bound of 0 does.
+    A name with no entry is left to the sieve's own default: 1 for a
+    variable, and 0 for an exponent whose linear part it cannot bound.
+
+    Each name has one bare exponent: certificates name variables and
+    symbols by identifiers, and str(Lin) is one-to-one on those.
+    """
+
+    def __init__(self, ctx: Context, terms, cap: int):
+        self._ctx = ctx
+        # name -> (its bare exponent, the largest bound worth proving).  The
+        # sieve caps an exponent's bound at cap; a variable's or a symbol's
+        # bound reaches it through a linear part's constant and an atom's
+        # offset, so it is proved past cap by as much as they take away, up
+        # to _BOUND_SLACK_MAX.
+        self._bare: dict[str, tuple[ExpExpr, int]] = {}
+        self._variables: set[str] = set()
+        for t in terms:
+            for p in t.powers:
+                e = p.exp
+                slack = min(max(0, -e.lin.const) + max(0, -e.off), _BOUND_SLACK_MAX)
+                named = [(ExpExpr(e.lin, e.sym), cap)]
+                named += [(ExpExpr(Lin.var(v)), cap + slack) for v in sorted(e.variables())]
+                self._variables |= e.variables()
+                for bare, name_cap in named:
+                    name = bare.atom_name()
+                    self._bare[name] = (bare, max(self._bare.get(name, (bare, 0))[1], name_cap))
+        self._proved: dict[str, int | None] = {}
+
+    def _prove(self, name: str) -> int | None:
+        if name in self._bare:
+            bare, cap = self._bare[name]
+            lb = self._ctx.exp_lower_bound(bare, cap)
+            if lb > max(self._ctx.fixed.get(name, 0), 0):  # a 0 from exp_lower_bound proves nothing
+                return lb
+        if name in self._variables and name not in self._ctx.fixed and self._ctx.implied(Lin.var(name)):
+            return 0
+        return None
+
+    def __getitem__(self, name: str) -> int:
+        if name not in self._proved:
+            self._proved[name] = self._prove(name)
+        if self._proved[name] is None:
+            raise KeyError(name)
+        return self._proved[name]
+
+    def __iter__(self):
+        return (name for name in self._bare if name in self)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)

@@ -11,12 +11,11 @@ lemma's side conditions are verified to apply.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 
 from ..arith import FactoringLimitError, factorize_bounded
 from ..record import Frozen, replace
 from ..reduction import OrderingClass, factor_k_symbolic, isolated_base
-from ..sieve import ConstraintSet, SieveError, congruence_fold
+from ..sieve import SieveError, congruence_fold
 from ..symbolic import ExpExpr, Lin, Power, Term, term_product
 from ..triples import Triple
 from .context import Context, DivisibilityFact, ProvenInequality, refine_residues
@@ -42,9 +41,6 @@ _ALL_CLASSES = [c.value for c in OrderingClass]
 _PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, AttributeError, ArithmeticError)
 
 _SHOWN_RESIDUES = 10  # missing residues a residue-split rejection lists
-# How far past the sieve's cap a variable's lower bound is proved: an
-# exponent constant of a million bits would otherwise cost a proof per bit.
-_BOUND_SLACK_MAX = 1 << 16
 
 
 class Verdict(Frozen):
@@ -290,89 +286,11 @@ def _fold_congruence(step: dict, ctx: Context, path: str):
     _, lhs, rhs = _equation(step, ctx, path)
     m = int(step["modulus"])
     terms = list(lhs) + [t.scaled(-1) for t in rhs]
-    cons = _sieve_constraints(ctx, terms, m)
+    cons = ctx.sieve_constraints(terms, m)
     try:
         return congruence_fold(terms, m, cons, order_cap=2000)
     except SieveError as e:  # a modulus the sieve cannot check is no proof, not a malformed payload
         raise _Invalid(path, f"congruence not checkable: {e}")
-
-
-def _sieve_constraints(ctx: Context, terms, m: int) -> ConstraintSet:
-    """The branch's residues and fixed values, with lower bounds the sieve
-    proves from the branch facts as it reads them."""
-    cons = ConstraintSet.none()
-    for name, (mm, allowed) in ctx.residues.items():
-        cons = cons.with_residue(name, mm, set(allowed))
-    for name, value in ctx.fixed.items():
-        cons = cons.with_fixed(name, value)
-    return replace(cons, lower_bounds=_ProvenBounds(ctx, terms, m.bit_length() + 1))
-
-
-class _ProvenBounds(Mapping):
-    """The lower bound the branch facts prove for each name the sieve reads:
-    each exponent of the terms, keyed by its bare atom (the sieve
-    re-applies offsets), and each variable and symbol in an exponent, as a
-    read-only mapping that proves a name's bound the first time it is read.
-
-    The entries are those that proving every exponent's bound in term order
-    gave: a bound counts when it is at least 1 and above the name's fixed
-    value, or, for a name not fixed, at least 1 and above the bounds counted
-    before it.  A variable or symbol that is not fixed and has no counted
-    bound gets 0 when the facts prove it >= 0, as a stated lower bound of 0
-    does.  A name with no entry is left to the sieve's own default: 1 for a
-    variable, and 0 for an exponent whose linear part it cannot bound.
-    """
-
-    def __init__(self, ctx: Context, terms, cap: int):
-        self._ctx = ctx
-        # name -> its distinct bare exponents, in order of last occurrence
-        self._bare: dict[str, list[ExpExpr]] = {}
-        # name -> the largest bound worth proving.  The sieve caps an
-        # exponent's bound at cap; a variable's or a symbol's bound reaches
-        # it through a linear part's constant and an atom's offset, so it is
-        # proved past cap by as much as they take away, up to _BOUND_SLACK_MAX.
-        self._cap: dict[str, int] = {}
-        self._variables: set[str] = set()
-        for t in terms:
-            for p in t.powers:
-                e = p.exp
-                slack = min(max(0, -e.lin.const) + max(0, -e.off), _BOUND_SLACK_MAX)
-                named = [(ExpExpr(e.lin, e.sym), cap)]
-                named += [(ExpExpr(Lin.var(v)), cap + slack) for v in sorted(e.variables())]
-                self._variables |= e.variables()
-                for bare, name_cap in named:
-                    name = bare.atom_name()
-                    seen = self._bare.setdefault(name, [])
-                    if bare in seen:
-                        seen.remove(bare)
-                    seen.append(bare)
-                    self._cap[name] = max(self._cap.get(name, 0), name_cap)
-        self._proved: dict[str, int | None] = {}
-
-    def _prove(self, name: str) -> int | None:
-        bound = None
-        for bare in self._bare.get(name, ()):
-            lb = self._ctx.exp_lower_bound(bare, self._cap[name])
-            floor = self._ctx.fixed[name] if name in self._ctx.fixed else bound or 0
-            if lb > max(floor, 0):  # a 0 from exp_lower_bound proves nothing
-                bound = lb
-        if bound is None and name in self._variables and name not in self._ctx.fixed:
-            if self._ctx.implied(Lin.var(name)):
-                bound = 0
-        return bound
-
-    def __getitem__(self, name: str) -> int:
-        if name not in self._proved:
-            self._proved[name] = self._prove(name)
-        if self._proved[name] is None:
-            raise KeyError(name)
-        return self._proved[name]
-
-    def __iter__(self):
-        return (name for name in self._bare if name in self)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
 
 
 def _apply_residue_split(step: dict, ctx: Context, path: str):

@@ -168,30 +168,6 @@ def _forward_terms(terms, fwd: dict[str, Lin], path: str) -> tuple[Term, ...]:
     return tuple(out)
 
 
-def _lin_residues_mod(ctx: Context, lin: Lin, d: int) -> set[int]:
-    """All residues lin can take mod d given the context's residue info."""
-    options: list[set[int]] = []
-    for v, c in lin.coeffs:
-        if c % d == 0:
-            continue
-        if v in ctx.residues:
-            # the integers in the classes `allowed` mod m fall, mod d, on
-            # exactly the classes of those residues mod gcd(m, d)
-            m, allowed = ctx.residues[v]
-            g = math.gcd(m, d)
-            classes = {a % g for a in allowed}
-            values = [a for a in range(d) if a % g in classes]
-        else:
-            values = range(d)
-        options.append({(c * a) % d for a in values})
-    acc = {lin.const % d}
-    for opt in options:
-        acc = {(a + b) % d for a in acc for b in opt}
-        if len(acc) == d:
-            break
-    return acc
-
-
 def _implied_nonneg(ctx: Context, lin: Lin) -> bool:
     """ctx.implied with extra facts for exponent atoms: atom >= lin-part
     whenever the symbol is registered and the linear part is positive."""
@@ -230,7 +206,7 @@ def verify_claim_in_context(ctx: Context, claim: IneqClaim, path: str) -> str | 
         if d > RESIDUE_MODULUS_MAX:
             return f"slack {s}: divisor {d} is above {RESIDUE_MODULUS_MAX}"
         if d > 1:
-            residues = _lin_residues_mod(ctx, lin, d)
+            residues = ctx.lin_residues(lin, d)
             if residues != {0}:
                 return f"slack {s}: {lin} is not always divisible by {d} (residues {sorted(residues)})"
         if not _implied_nonneg(ctx, lin):

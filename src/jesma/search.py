@@ -78,32 +78,26 @@ def _index_powers(b: int, c: int, modulus: int, y_max: int,
 
 
 def _scan_general(bases: tuple[int, ...], x_max: int, y_max: int) -> list[tuple[int, int, int]]:
-    # A solution with z = 1 has a^x + b^y = c, so both powers are below c:
-    # row x with a^x < c looks c - a^x up among the powers b^y below c.
-    # Every other solution has z >= 2, so c^2 divides a^x + b^y: the y are
-    # indexed by b^y mod c^2, and row x looks only at the y whose residue is
-    # -a^x mod c^2.  No cell with both powers below c is among those, as its
-    # sum is below 2c <= c^2.  The sum is at most twice max(a^x, b^y), so
-    # c^z is above that max and c^(z-1) is not: z is the larger of the two
-    # sides' ceilings, the least z with c^z above the side's power.  A cell
-    # whose sum differs from c^z modulo WORD_PRIME is no solution; only the
-    # rest are checked exactly, with b^y formed again.
+    # The y are indexed by b^y mod c^2, each with its ceiling: the least z
+    # with c^z above b^y.  A solution with z = 1 has a^x + b^y = c, so both
+    # powers are below c: row x with a^x < c reads the y at c - a^x whose
+    # ceiling is 1.  Those b^y are below c, so each is its own residue.
+    # Every other solution has z >= 2, so c^2 divides a^x + b^y: row x looks
+    # only at the y whose residue is -a^x mod c^2.  No cell with both powers
+    # below c is among those, as its sum is below 2c <= c^2.  The sum is at
+    # most twice max(a^x, b^y), so c^z is above that max and c^(z-1) is
+    # not: z is the larger of the two sides' ceilings.  A cell whose sum
+    # differs from c^z modulo WORD_PRIME is no solution; only the rest are
+    # checked exactly, with b^y formed again.
     a, b, c = bases
     c2 = c * c
     ys_of = _index_powers(b, c, c2, y_max, False)
-    y_of = {}  # b^y -> y for the powers below c
-    by = b
-    for y in range(1, y_max + 1):
-        if by >= c:
-            break
-        y_of[by] = y
-        by *= b
     out = []
     ax = a
     cz, za, cz_mod = 1, 0, 1  # c^za for the ceiling za of a^x, advanced only on rows with candidates
     for x in range(1, x_max + 1):
-        if ax < c and c - ax in y_of:
-            out.append((x, y_of[c - ax], 1))
+        if ax < c:
+            out += [(x, y, 1) for y, _, zb, _ in ys_of.get(c - ax, ()) if zb == 1]
         ys = ys_of.get(-ax % c2)
         if ys:
             while cz <= ax:

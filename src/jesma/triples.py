@@ -8,6 +8,7 @@ from .record import Frozen
 
 __all__ = [
     "FAMILIES",
+    "FERMAT_N_MAX",
     "Triple",
     "NonPrimitiveParametersError",
     "InvalidParameterError",
@@ -93,11 +94,14 @@ def lu_family(n: int) -> Triple:
     return Triple(4 * n * n - 1, 4 * n, 4 * n * n + 1, family="lu", params=(n,))
 
 
+FERMAT_N_MAX = 16  # F_n has 2^n + 1 bits: a search refuses every n >= 14 by its power limit
+
+
 def fermat_family(n: int) -> Triple:
     """(F_n - 2, 2^(2^(n-1)+1), F_n) with F_n = 2^(2^n) + 1; the identity
-    holds whether or not F_n is prime."""
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
+    holds whether or not F_n is prime.  n is judged before any power is formed."""
+    if not 1 <= n <= FERMAT_N_MAX:
+        raise InvalidParameterError(f"need 1 <= n <= {FERMAT_N_MAX}, got {n}")
     f = 2 ** (2**n) + 1
     return Triple(f - 2, 2 ** (2 ** (n - 1) + 1), f, family="fermat", params=(n,))
 

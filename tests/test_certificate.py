@@ -587,11 +587,16 @@ def _node_path(node) -> str:
     return "$.tree" + "".join(f".children[{i}]" for i in node)
 
 
+def _step_keys(node, *keys) -> list:
+    """The JSON keys of the step at node, a tuple of child indices, then keys."""
+    return ["tree", *(k for i in node for k in ("children", i)), "step", *keys]
+
+
 def _edit_step(node, **fields):
     """Mutator setting fields of the step at node, a tuple of child indices."""
 
     def apply(obj):
-        _walk(obj, ["tree", *(k for i in node for k in ("children", i)), "step"]).update(fields)
+        _walk(obj, _step_keys(node)).update(fields)
 
     return apply
 
@@ -641,8 +646,8 @@ HOSTILE_EDITS = [
     ("claim-coef-unfactorable", "theorem_20_99_101",
      lambda o: _walk(o, PROBE_CLAIM + ["ctx_lhs", 0]).update(coef=str(HUGE_MODULUS)), PROBE_PATH, 1),
     ("factor-split-base-unfactorable", "theorem_20_99_101",
-     lambda o: _walk(o, ["tree", *(k for i in _FACTOR_SPLIT for k in ("children", i)), "step", "p"]).update(
-         base=str(HUGE_MODULUS)), _node_path(_FACTOR_SPLIT), 1),
+     lambda o: _walk(o, _step_keys(_FACTOR_SPLIT, "p")).update(base=str(HUGE_MODULUS)),
+     _node_path(_FACTOR_SPLIT), 1),
     ("valuation-split-base-unfactorable", "theorem_20_99_101",
      lambda o: o["equation"].update(u=str(_P**2 - _Q**2), v=str(2 * _P * _Q), w=str(_P**2 + _Q**2)),
      "$.tree.children[3]", 1),
@@ -666,6 +671,59 @@ def test_hostile_edit_is_rejected_at_its_node(name, mutate, path, code):
     verdict = verify_certificate(Certificate.from_json(obj))
     assert not verdict.valid
     assert verdict.path == path, verdict.describe()
+
+
+def _variable_at(*keys):
+    def edit(obj, name):
+        _walk(obj, keys)["lin"]["c"][name] = "1"
+        return f"variable name {name!r} is not an identifier"
+
+    return edit
+
+
+def _symbol_at(*keys):
+    def edit(obj, name):
+        _walk(obj, keys)["sym"] = name
+        return f"symbol {name!r} is not an identifier"
+
+    return edit
+
+
+def _new_variable(obj, name):
+    _walk(obj, _step_keys(_SUBSTITUTE))["new"] = name
+    return f"new variable {name!r} is not an identifier"
+
+
+_COMPLETE_SPLIT = (6, 1, 0, 0, 0, 0, 0)  # theorem: a factor-split whose cases state fminus and fplus
+# Each place a certificate's terms are read: (shipped certificate, the JSON
+# keys of one exponent there, the path its rejection names)
+_EXPONENT_READS = {
+    "equation-terms": ("mod17_kill", ["equation", "terms", 0, "powers", 0, "exp"], "$.equation.terms[0]"),
+    "k-factor-reduced-lhs": ("theorem_20_99_101", _step_keys((3, 0), "reduced_lhs", 0, "powers", 0, "exp"),
+                             "$.tree.children[3].children[0].reduced_lhs[0]"),
+    "factor-split-p": ("theorem_20_99_101", _step_keys(_FACTOR_SPLIT, "p", "exp"), _node_path(_FACTOR_SPLIT) + ".p"),
+    "factor-split-q": ("theorem_20_99_101", _step_keys(_FACTOR_SPLIT, "q", "exp"), _node_path(_FACTOR_SPLIT) + ".q"),
+    "factor-split-parts": ("theorem_20_99_101", _step_keys(_FACTOR_SPLIT, "parts", 0, "exp"),
+                           _node_path(_FACTOR_SPLIT) + ".parts[0]"),
+    "factor-split-fminus": ("theorem_20_99_101", _step_keys(_COMPLETE_SPLIT, "cases", 0, "fminus", "powers", 0, "exp"),
+                            _node_path(_COMPLETE_SPLIT) + ".cases[0].fminus"),
+    "claim-ctx-lhs": ("theorem_20_99_101", PROBE_CLAIM + ["ctx_lhs", 0, "powers", 0, "exp"], PROBE_PATH + ".claims[0][0]"),
+}
+_NAME_EDITS = [
+    (f"{place}-{role}", cert, edit(*keys), path)
+    for place, (cert, keys, path) in _EXPONENT_READS.items()
+    for role, edit in (("variable", _variable_at), ("symbol", _symbol_at))
+] + [("substitute-new", "theorem_20_99_101", _new_variable, _node_path(_SUBSTITUTE))]
+
+
+@pytest.mark.parametrize("name", ["x+1", "r*(x)"])
+@pytest.mark.parametrize("cert, edit, path", [e[1:] for e in _NAME_EDITS], ids=[e[0] for e in _NAME_EDITS])
+def test_a_name_that_spells_an_atom_is_rejected_where_terms_are_read(cert, edit, path, name):
+    """Every variable and symbol a certificate writes is an identifier, so no
+    two bare exponents print alike: the sieve's bounds keep one per name."""
+    obj = _shipped(cert)
+    reason = edit(obj, name)
+    assert verify_certificate(Certificate.from_json(obj)) == Verdict(False, path, reason)
 
 
 @pytest.mark.parametrize("name", [e[0] for e in HOSTILE_EDITS if e[0].endswith("-unfactorable")])

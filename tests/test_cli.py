@@ -311,11 +311,16 @@ def _lcm_argv(tmp_path) -> list[str]:
             "--mmax", "5"]
 
 
+def _fermat_argv(tmp_path) -> list[str]:
+    return ["search", "--form", "pythag", "--family", "fermat", "--n", "30"]
+
+
 @pytest.mark.parametrize(
     "argv_of, code, line",
     [(_probe_argv, 1, f"invalid at {PROBE_PATH}: cannot factor a 234-bit integer"),
-     (_lcm_argv, 2, "bad input: constraints on x: residue modulus lcm(1000003, 1000033)")],
-    ids=["factoring-probe", "constraint-lcm"],
+     (_lcm_argv, 2, "bad input: constraints on x: residue modulus lcm(1000003, 1000033)"),
+     (_fermat_argv, 2, "bad instance: need 1 <= n <= 16, got 30")],
+    ids=["factoring-probe", "constraint-lcm", "fermat-n"],
 )
 def test_hostile_input_ends_at_once_under_python_O(tmp_path, argv_of, code, line):
     """Each input once ran without bound; the command now ends in well under

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jesma.certificate.context import (
+    _BOUND_SLACK_MAX,
     _FM_FACT_CAP,
     RESIDUE_MODULUS_MAX,
     Context,
@@ -16,8 +17,6 @@ from jesma.certificate.context import (
     _normalize_fact,
     refine_residues,
 )
-from jesma.certificate.engine import _BOUND_SLACK_MAX, _sieve_constraints
-from jesma.certificate.ineq import _lin_residues_mod
 from jesma.record import replace
 from jesma.sieve import ConstraintSet, SieveError, congruence_solutions
 from jesma.symbolic import ExpExpr, Lin, Power, Term
@@ -218,13 +217,11 @@ def _eager_sieve_constraints(ctx: Context, terms, m: int) -> ConstraintSet:
     return cons
 
 
-# two exponents a certificate may write, both named "x+1": the second is a
-# variable of that name
-_COLLIDING = (ExpExpr(Lin.var("x") + 1), ExpExpr(Lin.var("x+1")))
+# the exponent x + 1, named "x+1": a fixed value may be drawn for that name
 _exps = st.one_of(
     st.builds(ExpExpr, _lins),
     st.builds(ExpExpr, _lins, st.sampled_from(SYMS), st.integers(-2, 2)),
-    st.sampled_from(_COLLIDING),
+    st.just(ExpExpr(Lin.var("x") + 1)),
 )
 _terms = st.builds(
     lambda coef, powers: Term(coef, tuple(Power(b, e) for b, e in powers)),
@@ -244,27 +241,15 @@ def _solutions_or_error(terms, m, cons):
 @given(_contexts(), st.integers(-1, 5), st.lists(_terms, min_size=1, max_size=3), st.integers(2, 16), st.data())
 def test_lazy_bounds_match_eager_bounds(ctx, low, terms, m, data):
     """The bounds the sieve proves as it reads them give the same solutions
-    as bounds proved for every power up front, also for a fixed name and
-    for two exponents of one name."""
+    as bounds proved for every power up front, also for a fixed name that
+    is an exponent's atom."""
     names = sorted({p.exp.atom_name() for t in terms for p in t.powers} | set(VARS + SYMS))
     fixed = data.draw(st.dictionaries(st.sampled_from(names), st.integers(-1, 5), max_size=2))
-    ctx = replace(ctx.with_fact(Lin.var("x+1") - low), fixed=fixed)
+    ctx = replace(ctx.with_fact(Lin.var("x") + 1 - low), fixed=fixed)
     eager = _eager_sieve_constraints(ctx, terms, m)
-    lazy = _sieve_constraints(ctx, terms, m)
+    lazy = ctx.sieve_constraints(terms, m)
     assert _solutions_or_error(terms, m, lazy) == _solutions_or_error(terms, m, eager)
     assert dict(lazy.lower_bounds) == eager.lower_bounds
-
-
-def test_lazy_bounds_keep_the_last_bound_above_a_fixed_value():
-    # above a fixed value, each exponent named "x+1" in turn replaces the
-    # bound proved before it, so the last occurrence decides: 4, not 2
-    # (x, the variable inside x + 1, has its own bound 3)
-    a, b = _COLLIDING  # x + 1 >= 4 and the variable x+1 >= 2
-    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
-    ctx = replace(ctx.with_fact(Lin.var("x") - 3).with_fact(Lin.var("x+1") - 2), fixed={"x+1": 1})
-    terms = [Term.of(1, (2, a)), Term.of(1, (3, b)), Term.of(1, (5, a))]
-    assert _eager_sieve_constraints(ctx, terms, 16).lower_bounds == {"x+1": 4, "x": 3}
-    assert dict(_sieve_constraints(ctx, terms, 16).lower_bounds) == {"x+1": 4, "x": 3}
 
 
 def test_normal_form_takes_terms_it_cannot_memoize():
@@ -299,7 +284,7 @@ def _lin_residues_reference(ctx: Context, lin: Lin, d: int) -> set[int]:
 def test_lin_residues_mod_matches_lcm_enumeration(m, allowed, d, lin):
     ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
     ctx = ctx.with_residue("x", m, allowed)
-    assert _lin_residues_mod(ctx, lin, d) == _lin_residues_reference(ctx, lin, d)
+    assert ctx.lin_residues(lin, d) == _lin_residues_reference(ctx, lin, d)
 
 
 def test_refine_residues_refuses_a_large_lcm():

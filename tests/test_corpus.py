@@ -97,10 +97,11 @@ GOOD = {"form": "general", "bases": ["3", "2", "5"], "x_max": "5", "y_max": "5",
          f"expected solution (1, 1, 300000000) forms a power over {EXPECTED_BITS_MAX} bits"),
         ({"form": "general", "bases": ["1048576", "3", "5"], "x_max": "1000"},
          f"the grid forms a 21000-bit power, above the limit of {POWER_BITS_MAX} bits"),
+        ({"form": "pythag", "family": "fermat", "n": "17"}, "need 1 <= n <= 16, got 17"),
     ],
     ids=["x_max-0", "m_max-negative", "base-1", "eisenstein-condition", "k-0", "expected-arity",
          "k_range-empty", "k_range-wide", "bound-cap", "expected-off-grid", "terai-off-grid",
-         "expected-bits", "power-bits"],
+         "expected-bits", "power-bits", "fermat-n"],
 )
 def test_invalid_instance_is_malformed_entry(tmp_path, capsys, monkeypatch, bad, reason, cpus):
     monkeypatch.setattr("os.cpu_count", lambda: cpus)

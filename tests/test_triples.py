@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jesma.triples import (
+    FERMAT_N_MAX,
     InvalidParameterError,
     NonPrimitiveParametersError,
     Triple,
@@ -48,6 +49,14 @@ def test_fermat_examples():
     assert (fermat_family(1).u, fermat_family(1).v, fermat_family(1).w) == (3, 4, 5)
     assert (fermat_family(2).u, fermat_family(2).v, fermat_family(2).w) == (15, 8, 17)
     assert (fermat_family(3).u, fermat_family(3).v, fermat_family(3).w) == (255, 32, 257)
+
+
+def test_fermat_family_refuses_n_above_its_limit():
+    # F_n has 2^n + 1 bits: n is judged before any power is formed
+    assert FERMAT_N_MAX == 16 and fermat_family(FERMAT_N_MAX).w.bit_length() == 2**16 + 1
+    for n in (0, FERMAT_N_MAX + 1, 30, 10**9):
+        with pytest.raises(InvalidParameterError, match=f"need 1 <= n <= 16, got {n}"):
+            fermat_family(n)
 
 
 def test_fibonacci_triple_examples():
