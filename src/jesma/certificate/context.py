@@ -3,7 +3,8 @@
 Holds the current (rewritten) equations, linear inequalities, residue
 constraints on variables and exponent atoms, and the valuation-pattern
 bookkeeping, and answers what an exponent can be on the branch: its
-residues, its lower bounds, and the constraints the sieve reads.
+residues, lower bounds of linear forms, and the constraints the sieve
+reads.
 Linear implications are decided by Fourier-Motzkin
 elimination with gcd rounding, so integer-only consequences such as
 "2*z1 - y - 1 >= 0 and y even imply 2*z1 - y - 2 >= 0" are available.
@@ -16,7 +17,7 @@ verification, and never carried over to the next.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 
 from ..arith import factorize_bounded
@@ -38,9 +39,6 @@ __all__ = [
 Fact = tuple[tuple[tuple[str, int], ...], int]  # (coeffs, const): sum + const >= 0
 
 _FM_FACT_CAP = 4000
-# How far past the sieve's cap a variable's lower bound is proved: an
-# exponent constant of a million bits would otherwise cost a proof per bit.
-_BOUND_SLACK_MAX = 1 << 16
 
 
 def _normalize_fact(coeffs: dict[str, int], const: int) -> Fact:
@@ -302,24 +300,25 @@ class Context(Frozen):
         target = max(bound - e.off, 1)
         return self.implied(e.lin - target)
 
-    def exp_lower_bound(self, e: ExpExpr, cap: int) -> int:
-        """Largest b <= cap with the exponent provably >= b (0 if none).
+    def lin_lower_bound(self, lin: Lin, cap: int) -> int:
+        """Largest b <= cap with lin provably >= b, or -1 when lin >= 0 is
+        not proved: the sieve's source of bounds on a proof branch.
 
         b doubles while it is proved, then a binary search runs between the
         last b proved and the first refuted: a proof of b is a proof of
         every smaller bound, and a cap far above the answer costs about
         2 * log2(answer) proofs, not one per value."""
         lo, b = 0, 1  # lo is proved, or 0
-        while b <= cap and self.exp_at_least(e, b):
+        while b <= cap and self.implied(lin - b):
             lo, b = b, 2 * b
         hi = min(b, cap + 1)  # refuted, or past the cap
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self.exp_at_least(e, mid):
+            if self.implied(lin - mid):
                 lo = mid
             else:
                 hi = mid
-        return lo
+        return lo if lo or self.implied(lin) else -1
 
     # -- term comparison ---------------------------------------------------------
 
@@ -385,15 +384,15 @@ class Context(Frozen):
 
     # -- the sieve's constraints ---------------------------------------------------
 
-    def sieve_constraints(self, terms, m: int) -> ConstraintSet:
-        """The branch's residues and fixed values, with lower bounds the sieve
-        proves from the branch facts as it reads them."""
+    def sieve_constraints(self) -> ConstraintSet:
+        """The branch's residues and fixed values; the sieve asks
+        lin_lower_bound for bounds."""
         cons = ConstraintSet.none()
         for name, (mm, allowed) in self.residues.items():
             cons = cons.with_residue(name, mm, set(allowed))
         for name, value in self.fixed.items():
             cons = cons.with_fixed(name, value)
-        return replace(cons, lower_bounds=_ProvenBounds(self, terms, m.bit_length() + 1))
+        return cons
 
     # -- substitution --------------------------------------------------------------
 
@@ -436,64 +435,3 @@ class Context(Frozen):
             residues=res,
             divisibilities=tuple(f.substituted(var, repl) for f in self.divisibilities),
         )._parity_closure()
-
-
-class _ProvenBounds(Mapping):
-    """The lower bound the branch facts prove for each name the sieve reads:
-    each exponent of the terms, keyed by its bare atom (the sieve
-    re-applies offsets), and each variable and symbol in an exponent, as a
-    read-only mapping that proves a name's bound the first time it is read.
-
-    A name's bound counts when it is at least 1 and above the name's fixed
-    value.  A variable or symbol that is not fixed and has no counted bound
-    gets 0 when the facts prove it >= 0, as a stated lower bound of 0 does.
-    A name with no entry is left to the sieve's own default: 1 for a
-    variable, and 0 for an exponent whose linear part it cannot bound.
-
-    Each name has one bare exponent: certificates name variables and
-    symbols by identifiers, and str(Lin) is one-to-one on those.
-    """
-
-    def __init__(self, ctx: Context, terms, cap: int):
-        self._ctx = ctx
-        # name -> (its bare exponent, the largest bound worth proving).  The
-        # sieve caps an exponent's bound at cap; a variable's or a symbol's
-        # bound reaches it through a linear part's constant and an atom's
-        # offset, so it is proved past cap by as much as they take away, up
-        # to _BOUND_SLACK_MAX.
-        self._bare: dict[str, tuple[ExpExpr, int]] = {}
-        self._variables: set[str] = set()
-        for t in terms:
-            for p in t.powers:
-                e = p.exp
-                slack = min(max(0, -e.lin.const) + max(0, -e.off), _BOUND_SLACK_MAX)
-                named = [(ExpExpr(e.lin, e.sym), cap)]
-                named += [(ExpExpr(Lin.var(v)), cap + slack) for v in sorted(e.variables())]
-                self._variables |= e.variables()
-                for bare, name_cap in named:
-                    name = bare.atom_name()
-                    self._bare[name] = (bare, max(self._bare.get(name, (bare, 0))[1], name_cap))
-        self._proved: dict[str, int | None] = {}
-
-    def _prove(self, name: str) -> int | None:
-        if name in self._bare:
-            bare, cap = self._bare[name]
-            lb = self._ctx.exp_lower_bound(bare, cap)
-            if lb > max(self._ctx.fixed.get(name, 0), 0):  # a 0 from exp_lower_bound proves nothing
-                return lb
-        if name in self._variables and name not in self._ctx.fixed and self._ctx.implied(Lin.var(name)):
-            return 0
-        return None
-
-    def __getitem__(self, name: str) -> int:
-        if name not in self._proved:
-            self._proved[name] = self._prove(name)
-        if self._proved[name] is None:
-            raise KeyError(name)
-        return self._proved[name]
-
-    def __iter__(self):
-        return (name for name in self._bare if name in self)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)

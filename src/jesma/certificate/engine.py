@@ -115,12 +115,14 @@ def _initial_context(cert: Certificate) -> Context:
             ctx = replace(ctx, fixed=fixed)
             for name, v in fixed.items():
                 ctx = ctx.with_fact(Lin.var(name) - v).with_fact(Lin.var(name) * -1 + v)
-        # every name an exponent uses, inside atoms too: the sieve reads their bounds
+        # every name an exponent uses, inside atoms too: the sieve reads their
+        # bounds, and a fixed name's one value is its bound
         for name in sorted(set().union(*(t.variables() for t in terms))):
             lb = int(cons.get("lower_bounds", {}).get(name, "1"))
             if lb < 0:  # the sieve takes no variable bound below 0 from the verifier
                 raise _Invalid("$.equation", f"stated lower bound {lb} of {name} is below 0")
-            ctx = ctx.with_fact(Lin.var(name) - lb)
+            if name not in fixed:
+                ctx = ctx.with_fact(Lin.var(name) - lb)
         return ctx
     raise MalformedCertificateError("$.equation", f"unknown equation form {form!r}")
 
@@ -286,9 +288,9 @@ def _fold_congruence(step: dict, ctx: Context, path: str):
     _, lhs, rhs = _equation(step, ctx, path)
     m = int(step["modulus"])
     terms = list(lhs) + [t.scaled(-1) for t in rhs]
-    cons = ctx.sieve_constraints(terms, m)
+    cons = ctx.sieve_constraints()
     try:
-        return congruence_fold(terms, m, cons, order_cap=2000)
+        return congruence_fold(terms, m, cons, order_cap=2000, lin_bound=ctx.lin_lower_bound)
     except SieveError as e:  # a modulus the sieve cannot check is no proof, not a malformed payload
         raise _Invalid(path, f"congruence not checkable: {e}")
 

@@ -42,7 +42,7 @@ class CorpusError(ValueError):
 
 
 class CorpusEntry(Frozen):
-    _fields = ("id", "form", "expected", "searches", "triple", "x_max", "y_max")
+    _fields = ("id", "form", "expected", "searches", "x_max", "y_max")
 
     def __init__(
         self,
@@ -50,7 +50,6 @@ class CorpusEntry(Frozen):
         form: str,  # a key of search.FORMS; pythag entries search the general form
         expected: frozenset[tuple[int, ...]],
         searches: tuple[tuple[str, tuple[int, ...]], ...],  # (mismatch label, bases)
-        triple: Triple | None = None,  # the unscaled triple of a pythag entry
         x_max: int = 30,
         y_max: int = 30,
     ):
@@ -58,7 +57,6 @@ class CorpusEntry(Frozen):
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "expected", expected)
         object.__setattr__(self, "searches", searches)
-        object.__setattr__(self, "triple", triple)
         object.__setattr__(self, "x_max", x_max)
         object.__setattr__(self, "y_max", y_max)
 
@@ -84,7 +82,6 @@ def _parse_entry(obj: dict, index: int) -> CorpusEntry:
         expected = frozenset(tuple(int(a) for a in sol) for sol in obj.get("expected", []))
         x_max = int(obj.get("x_max", "30"))
         y_max = int(obj.get("y_max", "30"))
-        triple = None
         if form == "pythag":
             triple = _triple(obj, where)
             if "k_range" in obj:
@@ -132,7 +129,6 @@ def _parse_entry(obj: dict, index: int) -> CorpusEntry:
             form=form,
             expected=expected,
             searches=searches,
-            triple=triple,
             x_max=x_max,
             y_max=y_max,
         )

@@ -149,7 +149,7 @@ class KFactoredForm(Frozen):
     to 1; what remains is the coprime reduced equation."""
 
     _fields = (
-        "triple", "ordering", "valuations", "cofactor", "relations",
+        "triple", "ordering", "cofactor", "relations",
         "cross_relations", "reduced_lhs", "reduced_rhs", "contradiction",
     )
 
@@ -157,7 +157,6 @@ class KFactoredForm(Frozen):
         self,
         triple: Triple,
         ordering: OrderingClass,
-        valuations: tuple[tuple[int, int | str], ...],  # prime -> valuation of k
         cofactor: int | str,
         relations: tuple[ValuationRelation, ...],
         cross_relations: tuple[Lin, ...],  # each == 0, e.g. r - 2q
@@ -167,7 +166,6 @@ class KFactoredForm(Frozen):
     ):
         object.__setattr__(self, "triple", triple)
         object.__setattr__(self, "ordering", ordering)
-        object.__setattr__(self, "valuations", valuations)
         object.__setattr__(self, "cofactor", cofactor)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "cross_relations", cross_relations)
@@ -203,7 +201,6 @@ def _factor_k_core(
     ordering: OrderingClass,
     vals: dict[int, int | str],
     cofactor: int | str,
-    all_vals: dict[int, int | str],
 ) -> KFactoredForm:
     e1, e2, e3, b1, b2, b3, sigma = _arrangement(t, ordering)
     d21 = Lin.var(e2) - Lin.var(e1)
@@ -259,7 +256,6 @@ def _factor_k_core(
     return KFactoredForm(
         triple=t,
         ordering=ordering,
-        valuations=tuple(sorted(all_vals.items(), key=lambda pv: pv[0])),
         cofactor=cofactor,
         relations=tuple(relations),
         cross_relations=tuple(cross),
@@ -272,28 +268,23 @@ def _factor_k_core(
 def factor_k(t: Triple, k: int, ordering: OrderingClass) -> KFactoredForm:
     """Factor a concrete scale k out of the equation under a strict ordering.
 
-    Records the valuation of k at every prime of U*V*W, the relations its
-    B1-primes force, and the reduced equation; flags the contradiction when
-    k's shape already rules out solutions in this ordering.
+    Records the relations the valuations of k at the primes of B1 force,
+    and the reduced equation; flags the contradiction when k's shape
+    already rules out solutions in this ordering.
     """
     if not ordering.is_strict():
         raise ReductionError(f"k-factoring applies to strict orderings, not {ordering.value}")
     if k < 1:
         raise ReductionError(f"k must be >= 1, got {k}")
     b1 = isolated_base(t, ordering)
-    all_vals: dict[int, int | str] = {}
     rest = k
-    for p in factorize(t.u * t.v * t.w).primes():
-        e, _ = valuation(p, k)
-        if e:
-            all_vals[p] = e
     vals: dict[int, int | str] = {}
     for p in factorize(b1).primes():
         e, _ = valuation(p, k)
         if e:
             vals[p] = e
             rest //= p**e
-    return _factor_k_core(t, ordering, vals, rest, all_vals)
+    return _factor_k_core(t, ordering, vals, rest)
 
 
 def factor_k_symbolic(
@@ -317,7 +308,7 @@ def factor_k_symbolic(
             s = f"v{p}"
         used[p] = s
     vals: dict[int, int | str] = dict(used)
-    form = _factor_k_core(t, ordering, vals, "n1" if pattern else 1, dict(vals))
+    form = _factor_k_core(t, ordering, vals, "n1" if pattern else 1)
     if not pattern:
         # gcd(k, B1) = 1: k^(e2-e1) divides B1^e1 forces k = 1
         form = replace(form, cofactor="k", contradiction="k-coprime-to-isolated-base")

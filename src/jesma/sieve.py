@@ -11,10 +11,12 @@ fixed values and lower bounds, the ones a certificate can state): it
 certifies that the original equation has no integer solutions
 satisfying them.
 
-The domain is: every variable at least its stated lower bound (1 when
-none is stated) and every exponent >= 0.  A lower bound the sieve cannot
-derive from the stated ones is never assumed; an exponent with a
-negative coefficient gets the domain's floor 0.
+The domain is: every variable exactly its fixed value or at least its
+stated lower bound (1 when neither is stated), and every exponent >= 0.
+One rule, _exp_lower_bound, bounds an exponent from bounds of linear
+forms: the scan sums the stated bounds of their variables, the verifier
+proves them from a proof branch's facts.  No other bound is assumed; an
+exponent with a negative coefficient gets at least the domain's floor 0.
 
 One evaluator, CongruenceFold, holds the solutions: it reduces each
 variable group to the residues its partial sum reaches, and streams the
@@ -68,6 +70,10 @@ MODULUS_MAX = _TRIAL_LIMIT**2
 # and a certificate or a command line chooses those moduli, so without a
 # limit it would choose the time and memory spent.
 RESIDUE_MODULUS_MAX = 100_000
+# How far past the cap an atom's linear part and symbol are bounded: a
+# negative offset of a million bits would otherwise cost the verifier a
+# proof per bit.
+_BOUND_SLACK_MAX = 1 << 16
 
 
 class SieveError(ValueError):
@@ -113,10 +119,10 @@ class ConstraintSet(Frozen):
     """What a certificate's constraints can state about the exponents.
 
     residues maps a variable (or exponent-atom name) to (modulus, allowed
-    residue set); fixed pins a variable to one value; lower_bounds record
-    known minima (every exponent variable is >= 1 unless stated, and every
-    exponent >= 0), as any mapping: the sieve only reads it, and only the
-    names it needs.  Each mapping left out is a new empty dict.
+    residue set); fixed pins a variable to one value; lower_bounds maps a
+    variable to its stated minimum (every variable is >= 1 unless stated
+    or fixed, and every exponent >= 0).  Each dict left out is a new
+    empty one.
     """
 
     _fields = ("residues", "fixed", "lower_bounds")
@@ -125,7 +131,7 @@ class ConstraintSet(Frozen):
         self,
         residues: dict[str, tuple[int, frozenset[int]]] = FRESH,
         fixed: dict[str, int] = FRESH,
-        lower_bounds: Mapping[str, int] = FRESH,
+        lower_bounds: dict[str, int] = FRESH,
     ):
         object.__setattr__(self, "residues", {} if residues is FRESH else residues)
         object.__setattr__(self, "fixed", {} if fixed is FRESH else fixed)
@@ -206,35 +212,35 @@ def _is_const_exp(e: ExpExpr) -> bool:
 
 
 def _lin_lower_bound(lin: Lin, constraints: ConstraintSet) -> int:
-    # sum of per-variable lower bounds; a negative coefficient leaves only
-    # the domain's floor: an exponent is >= 0
+    # sum of per-variable lower bounds; with a negative coefficient the form
+    # is not known to be >= 0
     total = lin.const
     for v, c in lin.coeffs:
         if c < 0:
-            return 0
+            return -1
         total += c * constraints.lower_bound(v)
     return total
 
 
-def _exp_lower_bound(e: ExpExpr, constraints: ConstraintSet) -> int:
+def _exp_lower_bound(e: ExpExpr, lin_bound, cap: int) -> int:
+    """A lower bound of the exponent, exact up to cap.  lin_bound(lin, cap)
+    gives one of a linear form, exact up to cap, or -1 when lin >= 0 is
+    not known: the stated bounds in the scan, Fourier-Motzkin proofs in the
+    verifier.  Every exponent is >= 0 in the domain, so one with a negative
+    coefficient never reads below that floor."""
     if _is_const_exp(e):
         return e.lin.const
-    # hints are keyed by the bare atom (sym*(lin) or the linear form), so a
-    # constant offset is applied on top of the hinted bound
-    hint = constraints.lower_bounds.get(e.atom_name())
-    if hint is not None:
-        return hint + e.off if e.sym is not None else hint
-    if e.sym is not None:
-        # sym*(lin) grows with sym only when lin is provably >= 0; otherwise
-        # the whole exponent has only the domain's floor
-        lin_bound = _lin_lower_bound(e.lin, constraints)
-        if lin_bound < 0 or any(c < 0 for _, c in e.lin.coeffs):
-            return 0
-        return constraints.lower_bound(e.sym) * lin_bound + e.off
-    return _lin_lower_bound(e.lin, constraints)
+    if e.sym is None:
+        lb = lin_bound(e.lin, cap)
+    else:
+        # sym*(lin) + off reaches cap only when sym*(lin) reaches cap - off
+        cap += min(max(0, -e.off), _BOUND_SLACK_MAX)
+        lin_lb, sym_lb = lin_bound(e.lin, cap), lin_bound(Lin.var(e.sym), cap)
+        lb = 0 if lin_lb < 0 or sym_lb < 0 else sym_lb * lin_lb + e.off
+    return max(lb, 0) if any(c < 0 for _, c in e.lin.coeffs) else lb
 
 
-def _term_is_constant_zero(term: Term, m: int, constraints: ConstraintSet) -> bool:
+def _term_is_constant_zero(term: Term, m: int, lin_bound) -> bool:
     # A term vanishes identically mod m when m divides coef * prod(b**lb)
     # with lb >= 0 a proven lower bound for each exponent.  Divisibility by
     # m never needs more than bit_length(m) copies of a base, so cap there.
@@ -248,11 +254,11 @@ def _term_is_constant_zero(term: Term, m: int, constraints: ConstraintSet) -> bo
         if math.gcd(p.base, m) == 1:
             units.append(p)
             continue
-        lb = _exp_lower_bound(p.exp, constraints)
+        lb = _exp_lower_bound(p.exp, lin_bound, cap)
         if lb < 0:
             return False
         acc = acc * pow(p.base, min(lb, cap), m) % m
-    return acc == 0 and all(_exp_lower_bound(p.exp, constraints) >= 0 for p in units)
+    return acc == 0 and all(_exp_lower_bound(p.exp, lin_bound, cap) >= 0 for p in units)
 
 
 class _EvalPower(Record):
@@ -266,7 +272,7 @@ class _EvalPower(Record):
 
 
 def _build_plan(
-    terms: list[Term], m: int, constraints: ConstraintSet, order_cap: int | None
+    terms: list[Term], m: int, residues: Mapping, lin_bound, order_cap: int | None
 ) -> tuple[list[tuple[int, list[_EvalPower]]], list[tuple[str, int]]]:
     live: list[tuple[int, list[_EvalPower]]] = []
     moduli: dict[str, int] = {}
@@ -282,7 +288,7 @@ def _build_plan(
 
     for term in terms:
         varying = [p for p in term.powers if not _is_const_exp(p.exp)]
-        if varying and _term_is_constant_zero(term, m, constraints):
+        if varying and _term_is_constant_zero(term, m, lin_bound):
             continue
         if any(math.gcd(p.base, m) != 1 for p in varying):
             raise UnsupportedModulusError(
@@ -306,7 +312,7 @@ def _build_plan(
                     moduli[v] = math.lcm(moduli.get(v, 1), order)
         live.append((const_part, evals))
 
-    for name, (cm, _) in constraints.residues.items():
+    for name, (cm, _) in residues.items():
         if name in moduli:
             moduli[name] = math.lcm(moduli[name], cm)
     plan = sorted(moduli.items())
@@ -342,13 +348,18 @@ def congruence_fold(
     m: int,
     constraints: ConstraintSet | None = None,
     order_cap: int | None = None,
+    lin_bound=None,
 ) -> "CongruenceFold":
     """The solutions of  sum(terms) == 0 (mod m)  on the residue torus,
     held as the residues each variable group's partial sum can reach
     rather than as cells: the scan's and the verifier's questions (is the
     set empty, its projection onto one variable, how many classes it has
     and which is first) need no list of cells.  Every error is raised
-    here, from the argument checks and the plan, before a cell is read."""
+    here, from the argument checks and the plan, before a cell is read.
+
+    lin_bound(lin, cap) bounds the linear forms in the exponents, as
+    _exp_lower_bound reads it; by default from the constraints' stated
+    bounds, while the verifier proves bounds from a branch's facts."""
     if m < 2:
         raise SieveError(f"modulus must be >= 2, got {m}")
     if m > MODULUS_MAX:
@@ -356,7 +367,8 @@ def congruence_fold(
     if not terms:
         raise SieveError("empty congruence")
     constraints = constraints or ConstraintSet.none()
-    live, plan = _build_plan(terms, m, constraints, order_cap)
+    lin_bound = lin_bound or (lambda lin, cap: _lin_lower_bound(lin, constraints))
+    live, plan = _build_plan(terms, m, constraints.residues, lin_bound, order_cap)
     names = tuple(n for n, _ in plan)
     periods = tuple(p for _, p in plan)
     return CongruenceFold(m, names, periods, live, constraints)

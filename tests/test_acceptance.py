@@ -141,7 +141,7 @@ def _corpus_pythag_solutions():
     assert not problems
     out = []
     for e in entries:
-        if e.triple is None:
+        if not e.searches[0][0].startswith("k="):  # a pythag entry labels each search by its scale
             continue
         for _, bases in e.searches:
             for sol in find_solutions(bases, min(e.x_max, 15), min(e.y_max, 15)).solutions:

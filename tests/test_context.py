@@ -1,5 +1,6 @@
-"""The verifier context: linear implication against its un-memoized form,
-and residue reasoning against plain enumeration."""
+"""The verifier context: linear implication and linear-form bounds against
+their un-memoized forms, exponent bounds against a box of points, and
+residue reasoning against plain enumeration."""
 
 import itertools
 import math
@@ -7,8 +8,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jesma import sieve
 from jesma.certificate.context import (
-    _BOUND_SLACK_MAX,
     _FM_FACT_CAP,
     RESIDUE_MODULUS_MAX,
     Context,
@@ -17,8 +18,6 @@ from jesma.certificate.context import (
     _normalize_fact,
     refine_residues,
 )
-from jesma.record import replace
-from jesma.sieve import ConstraintSet, SieveError, congruence_solutions
 from jesma.symbolic import ExpExpr, Lin, Power, Term
 
 VARS = ("x", "y", "z")
@@ -52,14 +51,12 @@ def _implied_reference(ctx: Context, lin: Lin) -> bool:
     return _infeasible_reference(system)
 
 
-def _exp_lower_bound_reference(ctx: Context, e: ExpExpr, cap: int) -> int:
+def _lin_lower_bound_reference(ctx: Context, lin: Lin, cap: int) -> int:
+    if not _implied_reference(ctx, lin):
+        return -1
     best = 0
     for b in range(1, cap + 1):
-        if e.sym is None:
-            ok = _implied_reference(ctx, e.lin - b)
-        else:
-            ok = e.sym in ctx.syms and _implied_reference(ctx, e.lin - max(b - e.off, 1))
-        if not ok:
+        if not _implied_reference(ctx, lin - b):
             break
         best = b
     return best
@@ -169,87 +166,71 @@ def test_implied_fast_path_matches_elimination(system):
 
 
 @settings(max_examples=150, deadline=None)
+@given(_contexts(), _lins, st.integers(0, 20))
+def test_lin_lower_bound_matches_unmemoized(ctx, lin, cap):
+    assert ctx.lin_lower_bound(lin, cap) == _lin_lower_bound_reference(ctx, lin, cap)
+
+
+def test_lin_lower_bound_answers_minus_1_0_and_the_cap():
+    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence").with_fact(Lin.var("x") - 1)
+    x = Lin.var("x")
+    assert [ctx.lin_lower_bound(x - 2, 5), ctx.lin_lower_bound(x - 1, 5), ctx.lin_lower_bound(x + 9, 5)] == [-1, 0, 5]
+    # at cap 0 only whether lin >= 0 is proved is asked
+    assert [ctx.lin_lower_bound(x + 2, 0), ctx.lin_lower_bound(Lin.var("y"), 0)] == [0, -1]
+
+
+def _box_points(ctx: Context) -> list[dict[str, int]]:
+    """The points of x, y, z in 0..4 and r, s in -2..3 that meet the
+    context's facts, its symbols' facts (>= 1) and its residues."""
+    box = (dict(zip(VARS + SYMS, values)) for values in itertools.product(*[range(5)] * 3, *[range(-2, 4)] * 2))
+    return [
+        point
+        for point in box
+        if all(sum(c * point[v] for v, c in cs) + d >= 0 for cs, d in ctx.facts)
+        and all(point[s] >= 1 for s in ctx.syms)
+        and all(point[n] % m in allowed for n, (m, allowed) in ctx.residues.items())
+    ]
+
+
+# no max_examples: tier-1 runs hypothesis's default 100 examples, and the
+# "fold-ci" profile of conftest.py ten times as many
+@settings(deadline=None)
 @given(
     _contexts(),
-    _lins,
-    st.one_of(st.none(), st.sampled_from(SYMS)),
-    st.integers(-2, 2),
-    st.integers(0, 20),
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.builds(ExpExpr, _lins),
+                st.builds(ExpExpr, _lins, st.sampled_from(SYMS), st.integers(-2, 2)),
+            ),
+            st.integers(0, 6),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
 )
-def test_exp_lower_bound_matches_unmemoized(ctx, lin, sym, off, cap):
-    e = ExpExpr(lin, sym, off)
-    assert ctx.exp_lower_bound(e, cap) == _exp_lower_bound_reference(ctx, e, cap)
+def test_exp_lower_bound_holds_on_a_box(ctx, exponents):
+    """The one rule for an exponent's lower bound, fed by Fourier-Motzkin
+    proofs on the branch facts, is exact up to its cap on every point of a
+    box that meets the facts and where the exponent is >= 0: no such point
+    reads below min(bound, cap)."""
+    points = _box_points(ctx)
+    for e, cap in exponents:
+        floor = min(sieve._exp_lower_bound(e, ctx.lin_lower_bound, cap), cap)
+        for point in points:
+            value = e.evaluate(point)
+            assert value < 0 or value >= floor, (str(e), cap, floor, point)
 
 
-def _eager_sieve_constraints(ctx: Context, terms, m: int) -> ConstraintSet:
-    # proves a bound for every power before the sieve runs, as the verifier
-    # did before it handed the sieve bounds proved on demand
-    cons = ConstraintSet.none()
-    for name, (mm, allowed) in ctx.residues.items():
-        cons = cons.with_residue(name, mm, set(allowed))
-    for name, value in ctx.fixed.items():
-        cons = cons.with_fixed(name, value)
-    cap = m.bit_length() + 1
-    # each exponent, then each variable and symbol in it, past the cap by
-    # what the exponent's constant and offset take away
-    occurrences = []
-    for t in terms:
-        for p in t.powers:
-            e = p.exp
-            slack = min(max(0, -e.lin.const) + max(0, -e.off), _BOUND_SLACK_MAX)
-            occurrences.append((ExpExpr(e.lin, e.sym), cap))
-            occurrences += [(ExpExpr(Lin.var(v)), cap + slack) for v in sorted(e.variables())]
-    caps: dict[str, int] = {}
-    for bare, c in occurrences:
-        caps[bare.atom_name()] = max(caps.get(bare.atom_name(), 0), c)
-    for bare, _ in occurrences:
-        name = bare.atom_name()
-        lb = ctx.exp_lower_bound(bare, caps[name])
-        # 0 proves nothing, also under a negative fixed value; any bound
-        # >= 1 counts, since an exponent the sieve cannot bound gets 0
-        floor = cons.fixed[name] if name in cons.fixed else cons.lower_bounds.get(name, 0)
-        if lb > max(floor, 0):
-            cons = cons.with_lower_bound(name, lb)
-    # a variable or symbol left without a bound gets 0 where the facts prove it
-    for name in sorted(set().union(*(t.variables() for t in terms))):
-        if name not in cons.fixed and name not in cons.lower_bounds and ctx.implied(Lin.var(name)):
-            cons = cons.with_lower_bound(name, 0)
-    return cons
-
-
-# the exponent x + 1, named "x+1": a fixed value may be drawn for that name
-_exps = st.one_of(
-    st.builds(ExpExpr, _lins),
-    st.builds(ExpExpr, _lins, st.sampled_from(SYMS), st.integers(-2, 2)),
-    st.just(ExpExpr(Lin.var("x") + 1)),
-)
-_terms = st.builds(
-    lambda coef, powers: Term(coef, tuple(Power(b, e) for b, e in powers)),
-    st.sampled_from([1, -1, 2, -3, 4, 6, -9]),
-    st.lists(st.tuples(st.sampled_from([2, 3, 4, 5, 6, 7, 10]), _exps), min_size=1, max_size=3),
-)
-
-
-def _solutions_or_error(terms, m, cons):
-    try:
-        return congruence_solutions(terms, m, cons, order_cap=60)
-    except SieveError as e:
-        return type(e), str(e)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_contexts(), st.integers(-1, 5), st.lists(_terms, min_size=1, max_size=3), st.integers(2, 16), st.data())
-def test_lazy_bounds_match_eager_bounds(ctx, low, terms, m, data):
-    """The bounds the sieve proves as it reads them give the same solutions
-    as bounds proved for every power up front, also for a fixed name that
-    is an exponent's atom."""
-    names = sorted({p.exp.atom_name() for t in terms for p in t.powers} | set(VARS + SYMS))
-    fixed = data.draw(st.dictionaries(st.sampled_from(names), st.integers(-1, 5), max_size=2))
-    ctx = replace(ctx.with_fact(Lin.var("x") + 1 - low), fixed=fixed)
-    eager = _eager_sieve_constraints(ctx, terms, m)
-    lazy = ctx.sieve_constraints(terms, m)
-    assert _solutions_or_error(terms, m, lazy) == _solutions_or_error(terms, m, eager)
-    assert dict(lazy.lower_bounds) == eager.lower_bounds
+def test_a_variable_spelt_like_an_exponent_keeps_its_own_bound():
+    # 2^v + 2^(x+1) = 6 at x = v = 1, with v named "x+1".  Bounds were once
+    # keyed by printed name, so the bound 2 of the exponent x + 1 reached v,
+    # 2^v vanished mod 4 and the congruence read as empty: a false kill.
+    terms = [Term.of(1, (2, ExpExpr(Lin.var("x+1")))), Term.of(1, (2, ExpExpr(Lin.var("x") + 1))), Term.of(-6)]
+    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
+    ctx = ctx.with_fact(Lin.var("x") - 1).with_fact(Lin.var("x+1") - 1)
+    with pytest.raises(sieve.UnsupportedModulusError, match=r"term 2\^\(x\+1\) has a non-unit base modulo 4"):
+        sieve.congruence_fold(terms, 4, ctx.sieve_constraints(), lin_bound=ctx.lin_lower_bound)
 
 
 def test_normal_form_takes_terms_it_cannot_memoize():

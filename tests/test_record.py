@@ -43,10 +43,10 @@ SAMPLES = [
     (ValuationRelation, dict(prime=2, val="r", lhs=X, rhs=Y), dict(prime=3, val=1, lhs=Y, rhs=X)),
     (
         KFactoredForm,
-        dict(triple=Triple(3, 4, 5), ordering=OrderingClass.CASE_1_1, valuations=((2, "r"),), cofactor="n1",
+        dict(triple=Triple(3, 4, 5), ordering=OrderingClass.CASE_1_1, cofactor="n1",
              relations=(ValuationRelation(2, "r", X, Y),), cross_relations=(X,), reduced_lhs=(TX,),
              reduced_rhs=(TY,), contradiction=None),
-        dict(triple=Triple(5, 12, 13), ordering=OrderingClass.CASE_2_2, valuations=(), cofactor=1,
+        dict(triple=Triple(5, 12, 13), ordering=OrderingClass.CASE_2_2, cofactor=1,
              relations=(), cross_relations=(), reduced_lhs=(), reduced_rhs=(TX,), contradiction="k-coprime"),
     ),
     (
@@ -71,10 +71,9 @@ SAMPLES = [
     ),
     (
         CorpusEntry,
-        dict(id="a", form="general", expected=frozenset({(1, 1, 1)}), searches=(("", (3, 2, 5)),), triple=None,
-             x_max=30, y_max=30),
-        dict(id="b", form="terai", expected=frozenset(), searches=(("k=1: ", (3, 5)),), triple=Triple(3, 4, 5),
-             x_max=5, y_max=6),
+        dict(id="a", form="general", expected=frozenset({(1, 1, 1)}), searches=(("", (3, 2, 5)),), x_max=30,
+             y_max=30),
+        dict(id="b", form="terai", expected=frozenset(), searches=(("k=1: ", (3, 5)),), x_max=5, y_max=6),
     ),
     (EntryResult, dict(entry_id="a", passed=True, detail="", elapsed=0.1),
      dict(entry_id="b", passed=False, detail="found []", elapsed=0.2)),
@@ -191,8 +190,8 @@ def test_defaults_and_fresh_factories():
     form = Form("a", len, len, "")
     assert (form.precondition, form.exponents, form.power) == (None, (0, 1, 2), 1)
     entry = CorpusEntry("a", "general", frozenset(), ())
-    assert (entry.triple, entry.x_max, entry.y_max) == (None, 30, 30)
-    assert KFactoredForm(*[None] * 8).contradiction is None
+    assert (entry.x_max, entry.y_max) == (30, 30)
+    assert KFactoredForm(*[None] * 7).contradiction is None
 
     # a field with a factory gets a new value per instance, and an explicit None stays None
     for make, names in [

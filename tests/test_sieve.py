@@ -126,6 +126,14 @@ def test_unsatisfiable_constraints_kill_immediately():
     assert w is not None and w.modulus == 2
 
 
+def test_symbol_fixed_below_0_gives_no_kill():
+    # (x, r) = (2, -1) solves 2^(r*(x) + 4) = 4: a symbol's bound below 0
+    # times its linear part's bound bounds nothing, so the exponent has only
+    # the domain's floor 0 and no modulus up to 20 kills
+    terms = [Term.of(1, (2, ExpExpr(Lin.var("x"), "r", 4))), Term.of(-4)]
+    assert find_killing_modulus(terms, ConstraintSet.none().with_fixed("r", -1), m_max=20).modulus is None
+
+
 def test_true_identity_never_killed():
     # 3^2 + 4^2 - 5^2 has the genuine solution (2, 2, 2) in every modulus
     terms = [
@@ -238,9 +246,14 @@ def test_order_cap_skips_heavy_moduli():
     assert w.modulus != 17
 
 
+def _stated(constraints):
+    """The scan's source of linear-form bounds: the stated ones."""
+    return lambda lin, cap: sieve._lin_lower_bound(lin, constraints)
+
+
 def _reference_solutions(terms, m, constraints, order_cap):
     """Per-cell evaluator: a pow per power per torus cell, no tables."""
-    live, plan = sieve._build_plan(terms, m, constraints, order_cap)
+    live, plan = sieve._build_plan(terms, m, constraints.residues, _stated(constraints), order_cap)
     names = tuple(n for n, _ in plan)
     periods = tuple(p for _, p in plan)
     if constraints.unsatisfiable_names():
@@ -312,6 +325,8 @@ constraint_ops = st.one_of(
 )
 # a certificate states lower bounds on variables and symbols, at least 1
 lower_bound_ops = st.tuples(st.just("lower"), st.sampled_from(VARS + ("r",)), st.integers(1, 6))
+# the symbol fixed, also below 0, where r*(lin) grows with lin no longer
+fixed_symbol_ops = st.tuples(st.just("fixed"), st.just("r"), st.integers(-2, 3))
 
 
 def _apply(cons, op):
@@ -427,13 +442,20 @@ def test_grouped_tori_match_per_cell_reference(terms, m, ops, order_cap):
     ],
     [("parity", "y", 1), ("lower", "x", 3)],
 )
-# x >= 6 makes 2^(r*(x-3)) vanish mod 4 only with x's bound proved past
-# the sieve's cap (4 at m = 4) by the 3 that the constant takes away
+# x >= 6 makes 2^(r*(x-3)) vanish mod 4, and 2^(r*(x)-3) only with x
+# bounded past the sieve's cap (4 at m = 4) by the 3 the offset takes away
 @example([Term.of(1, (2, ExpExpr(Lin.of(-3, x=1), "r"))), Term.of(1, (9, v("y"))), Term.of(1)], [("lower", "x", 6)])
-@given(terms_st, st.lists(st.one_of(constraint_ops, lower_bound_ops), max_size=3))
+@example([Term.of(1, (2, ExpExpr(Lin.var("x"), "r", -3))), Term.of(1, (9, v("y"))), Term.of(1)], [("lower", "x", 6)])
+# y fixed at 0: x - y >= 1 is proved, but r*(x-y) - 2 has a negative
+# coefficient, so both sides read it at the floor 0 and 3^x*2^(...) vanishes mod 3
+@example(
+    [Term.of(1, (2, v("x"))), Term.of(1, (3, v("x")), (2, ExpExpr(Lin.of(0, x=1, y=-1), "r", -2)))],
+    [("fixed", "y", 0)],
+)
+@given(terms_st, st.lists(st.one_of(constraint_ops, lower_bound_ops, fixed_symbol_ops), max_size=3))
 def test_every_kill_prove_can_emit_verifies(terms, ops):
     """A kill found under residues, parities, fixed values and lower bounds,
-    on variables and on exponent atoms, gives a certificate that verifies
+    on variables, symbols and exponent atoms, gives a certificate that verifies
     after a round trip through its JSON text: the constraints the scan
     reads are the ones the certificate states."""
     cons = ConstraintSet.none()
@@ -470,12 +492,12 @@ def test_sieve_scan_torus_matches_reference():
     assert sides == [["z"], ["a", "b", "y"]]
 
 
-def _term_is_constant_zero_reference(term, m, constraints):
+def _term_is_constant_zero_reference(term, m, lin_bound):
     # the loop that reads every power's lower bound, unit bases included
     cap = m.bit_length() + 1
     acc = term.coef % m
     for p in term.powers:
-        lb = sieve._exp_lower_bound(p.exp, constraints)
+        lb = sieve._exp_lower_bound(p.exp, lin_bound, cap)
         if lb < 0:
             return False
         acc = acc * pow(p.base, min(lb, cap), m) % m
@@ -501,7 +523,8 @@ def test_term_is_constant_zero_matches_full_loop(term, m, data):
         cons = cons.with_fixed(name, value)
     for name, value in data.draw(st.lists(st.tuples(st.sampled_from(names), st.integers(-3, 9)), max_size=3)):
         cons = cons.with_lower_bound(name, value)
-    assert sieve._term_is_constant_zero(term, m, cons) == _term_is_constant_zero_reference(term, m, cons)
+    lin_bound = _stated(cons)
+    assert sieve._term_is_constant_zero(term, m, lin_bound) == _term_is_constant_zero_reference(term, m, lin_bound)
 
 
 def _outcome(fn, *args):
@@ -660,9 +683,10 @@ def test_scan_record_matches_full_enumeration(m_max, z_even):
 # -- soundness oracle -----------------------------------------------------------
 # Random killing certificates over x, y and atoms r*(lin), with moduli 2-24.
 # Each one that verifies is checked by brute force on the box x, y in 0..8,
-# r in 0..4, at the points of the certificate's domain: x, y and r are at
-# least their stated lower bounds (1 when none is stated), every constraint
-# holds and every exponent is >= 0.  No such point may solve the congruence.
+# r in 0..4, at the points of the certificate's domain: x, y and r are their
+# fixed values or at least their stated lower bounds (1 when neither is
+# stated), every constraint holds and every exponent is >= 0.  No such
+# point may solve the congruence.
 
 ORACLE_ATOM_LINS = (Lin.var("x"), Lin.of(0, x=1, y=-1), Lin.of(-1, y=1))
 ORACLE_ATOMS = tuple(ExpExpr(lin, "r").atom_name() for lin in ORACLE_ATOM_LINS)
@@ -707,7 +731,7 @@ def _oracle_solution(terms, cons, m):
     """A point of the box in the certificate's domain that solves the
     congruence mod m, or None."""
     for values in ORACLE_BOX:
-        if any(values[n] < cons.lower_bounds.get(n, 1) for n in ("x", "y", "r")):
+        if any(values[n] < cons.lower_bounds.get(n, 1) for n in ("x", "y", "r") if n not in cons.fixed):
             continue
         if any(values[n] != f for n, f in cons.fixed.items()):
             continue
