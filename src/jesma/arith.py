@@ -154,12 +154,6 @@ class Factorization(Frozen):
     def __hash__(self) -> int:
         return hash((self.pairs,))
 
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
     def radical(self) -> int:
         out = 1
         for p, _ in self.pairs:

@@ -2,9 +2,10 @@
 
 Holds the current (rewritten) equations, linear inequalities, residue
 constraints on variables and exponent atoms, and the valuation-pattern
-bookkeeping, and answers what an exponent can be on the branch: its
-residues, lower bounds of linear forms, and the constraints the sieve
-reads.
+bookkeeping, and answers what an exponent can be on the branch (its
+residues and the lower bounds of linear forms) and whether two term lists
+are equal.  A residue set emptied on the branch leaves no point, so every
+implication holds there.
 Linear implications are decided by Fourier-Motzkin
 elimination with gcd rounding, so integer-only consequences such as
 "2*z1 - y - 1 >= 0 and y even imply 2*z1 - y - 2 >= 0" are available.
@@ -23,7 +24,7 @@ from functools import cached_property
 from ..arith import factorize_bounded
 from ..record import FRESH, Frozen, Record, replace
 from ..reduction import OrderingClass
-from ..sieve import RESIDUE_MODULUS_MAX, ConstraintSet, merge_residue, refine_residues
+from ..sieve import RESIDUE_MODULUS_MAX, merge_residue, refine_residues
 from ..symbolic import ExpExpr, Lin, Power, Term
 from ..triples import Triple
 
@@ -167,7 +168,7 @@ class Context(Frozen):
 
     _fields = (
         "triple", "k_min", "excluded", "equation_form", "ordering", "equations", "facts", "residues",
-        "syms", "pattern", "divisibilities", "fixed", "conflict", "memo",
+        "syms", "pattern", "divisibilities", "fixed", "memo",
     )
     _compared = _shown = _fields[:-1]
 
@@ -185,7 +186,6 @@ class Context(Frozen):
         pattern: tuple[int, ...] | None = None,  # primes of k dividing the isolated base
         divisibilities: tuple[DivisibilityFact, ...] = (),
         fixed: dict = FRESH,  # name -> pinned integer value
-        conflict: str | None = None,
         memo: VerificationMemo = FRESH,
     ):
         object.__setattr__(self, "triple", triple)
@@ -200,7 +200,6 @@ class Context(Frozen):
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "divisibilities", divisibilities)
         object.__setattr__(self, "fixed", {} if fixed is FRESH else fixed)
-        object.__setattr__(self, "conflict", conflict)
         object.__setattr__(self, "memo", VerificationMemo() if memo is FRESH else memo)
 
     # -- construction helpers --------------------------------------------------
@@ -219,13 +218,7 @@ class Context(Frozen):
         return replace(self, equations=eqs)
 
     def with_residue(self, name: str, modulus: int, allowed) -> "Context":
-        return self._restricted(name, modulus, allowed)._parity_closure()
-
-    def _restricted(self, name: str, modulus: int, allowed) -> "Context":
-        # the first name whose residues run out is the branch's conflict
-        res = merge_residue(self.residues, name, modulus, allowed)
-        conflict = name if self.conflict is None and not res[name][1] else self.conflict
-        return replace(self, residues=res, conflict=conflict)
+        return replace(self, residues=merge_residue(self.residues, name, modulus, allowed))._parity_closure()
 
     def with_syms(self, syms) -> "Context":
         return replace(self, syms=tuple(dict.fromkeys(self.syms + tuple(syms))))
@@ -274,8 +267,8 @@ class Context(Frozen):
         A fact with the query's normalized coefficients and a constant no
         larger than the query's implies it at once; elimination would
         refute that pair, so only the other queries are eliminated."""
-        if self.conflict:
-            return True
+        if any(not allowed for _, allowed in self.residues.values()):
+            return True  # an empty residue set: the branch holds no point
         facts, subst = self._system
         if extra:
             added = [_normalize_fact(f.as_dict(), f.const) for f in extra]
@@ -290,15 +283,6 @@ class Context(Frozen):
         if problem not in refuted:
             refuted[problem] = _infeasible(problem)
         return refuted[problem]
-
-    def exp_at_least(self, e: ExpExpr, bound: int) -> bool:
-        """Is the exponent expression provably >= bound?"""
-        if e.sym is None:
-            return self.implied(e.lin - bound)
-        if e.sym not in self.syms:
-            return False
-        target = max(bound - e.off, 1)
-        return self.implied(e.lin - target)
 
     def lin_lower_bound(self, lin: Lin, cap: int) -> int:
         """Largest b <= cap with lin provably >= b, or -1 when lin >= 0 is
@@ -379,20 +363,8 @@ class Context(Frozen):
         ctx = self
         for name, e in self.atom_registry().items():
             if ctx.lin_residues(e.lin, 2) == {0} and ctx.lin_residues(Lin.var(name), 2) != {0}:
-                ctx = ctx._restricted(name, 2, {0})
+                ctx = replace(ctx, residues=merge_residue(ctx.residues, name, 2, {0}))
         return ctx
-
-    # -- the sieve's constraints ---------------------------------------------------
-
-    def sieve_constraints(self) -> ConstraintSet:
-        """The branch's residues and fixed values; the sieve asks
-        lin_lower_bound for bounds."""
-        cons = ConstraintSet.none()
-        for name, (mm, allowed) in self.residues.items():
-            cons = cons.with_residue(name, mm, set(allowed))
-        for name, value in self.fixed.items():
-            cons = cons.with_fixed(name, value)
-        return cons
 
     # -- substitution --------------------------------------------------------------
 
@@ -420,7 +392,7 @@ class Context(Frozen):
                 if m % stride == 0:
                     nm = m // stride
                     ns = frozenset(a // stride for a in allowed if a % stride == 0)
-                    if nm >= 2:
+                    if nm >= 2 or not ns:  # an emptied set keeps the branch empty
                         res[new_var] = (nm, ns)
                 continue
             if name in registry:

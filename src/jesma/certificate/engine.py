@@ -15,7 +15,7 @@ import math
 from ..arith import FactoringLimitError, factorize_bounded
 from ..record import Frozen, replace
 from ..reduction import OrderingClass, factor_k_symbolic, isolated_base
-from ..sieve import SieveError, congruence_fold
+from ..sieve import ConstraintSet, SieveError, _exp_lower_bound, congruence_fold
 from ..symbolic import ExpExpr, Lin, Power, Term, term_product
 from ..triples import Triple
 from .context import Context, DivisibilityFact, ProvenInequality, refine_residues
@@ -189,7 +189,7 @@ def _apply_valuation_split(step: dict, ctx: Context, path: str):
     if sorted(map(tuple, declared)) != sorted(map(tuple, expected)):
         raise _Invalid(path, f"valuation split must cover all subsets of {primes}")
     return [
-        replace(ctx, pattern=tuple(sorted(int(p) for p in case)), residues={}, conflict=None)
+        replace(ctx, pattern=tuple(sorted(int(p) for p in case)), residues={})
         for case in step.get("cases", [])
     ]
 
@@ -288,7 +288,7 @@ def _fold_congruence(step: dict, ctx: Context, path: str):
     _, lhs, rhs = _equation(step, ctx, path)
     m = int(step["modulus"])
     terms = list(lhs) + [t.scaled(-1) for t in rhs]
-    cons = ctx.sieve_constraints()
+    cons = ConstraintSet(ctx.residues, ctx.fixed)  # the branch's bounds come from lin_bound
     try:
         return congruence_fold(terms, m, cons, order_cap=2000, lin_bound=ctx.lin_lower_bound)
     except SieveError as e:  # a modulus the sieve cannot check is no proof, not a malformed payload
@@ -310,10 +310,6 @@ def _apply_residue_split(step: dict, ctx: Context, path: str):
     return [ctx.with_residue(name, m, case) for case in cases]
 
 
-def _exp_double(e: ExpExpr) -> ExpExpr:
-    return ExpExpr(e.lin * 2, e.sym, 2 * e.off)
-
-
 def _apply_factor_split(step: dict, ctx: Context, path: str):
     eq_id, lhs, rhs = _equation(step, ctx, path)
     p_pow = Power(int(step["p"]["base"]), exp_from_json(step["p"]["exp"], f"{path}.p"))
@@ -321,8 +317,8 @@ def _apply_factor_split(step: dict, ctx: Context, path: str):
     signed = list(lhs) + [t.scaled(-1) for t in rhs]
     if len(signed) != 3:
         raise _Invalid(path, "factor split needs an equation with exactly three terms")
-    p2 = ctx.normal_form([Term(1, (Power(p_pow.base, _exp_double(p_pow.exp)),))])
-    q2 = ctx.normal_form([Term(1, (Power(q_pow.base, _exp_double(q_pow.exp)),))])
+    p2 = ctx.normal_form([Term(1, (p_pow, p_pow))])
+    q2 = ctx.normal_form([Term(1, (q_pow, q_pow))])
     p_term = q_term = r_term = None
     eps = 0
     for t in signed:
@@ -347,34 +343,23 @@ def _apply_factor_split(step: dict, ctx: Context, path: str):
     if math.gcd(p_pow.base, q_pow.base) != 1:
         raise _Invalid(path, "P and Q must have coprime bases")
 
+    # the bounds below come from the sieve's one rule for an exponent
+    bound = ctx.lin_lower_bound
     p_odd = p_pow.base % 2 == 1
     q_odd = q_pow.base % 2 == 1
-    if not p_odd and not ctx.exp_at_least(p_pow.exp, 1):
+    if not p_odd and _exp_lower_bound(p_pow.exp, bound, 1) < 1:
         raise _Invalid(path, "cannot determine the parity of P")
-    if not q_odd and not ctx.exp_at_least(q_pow.exp, 1):
+    if not q_odd and _exp_lower_bound(q_pow.exp, bound, 1) < 1:
         raise _Invalid(path, "cannot determine the parity of Q")
     g = 2 if (p_odd and q_odd) else 1
 
-    # prime -> exponent contribution of R, combining integer base factorizations
-    contributions: dict[int, list[ExpExpr]] = {}
-    for pw in r.powers:
-        for prime, e in factorize_bounded(pw.base):
-            contributions.setdefault(prime, []).append(
-                ExpExpr(pw.exp.lin * e, pw.exp.sym, pw.exp.off * e)
-            )
-    combined: dict[int, ExpExpr] = {}
-    for prime, parts in contributions.items():
-        plain = [e for e in parts if e.sym is None]
-        sym = [e for e in parts if e.sym is not None]
-        if len(sym) > 1 or (sym and plain):
+    # prime -> key of R's exponent of it, read off R's normal form: one
+    # entry per prime, unless a plain and a symbol-scaled exponent meet
+    combined: dict[int, tuple] = {}
+    for prime, key in ctx.normal_form([r])[0][1]:
+        if prime in combined:
             raise _Invalid(path, f"exponent of {prime} in R is not a supported shape")
-        if sym:
-            combined[prime] = sym[0]
-        else:
-            total = Lin.const_of(0)
-            for e in plain:
-                total = total + e.lin
-            combined[prime] = ExpExpr(total)
+        combined[prime] = key
 
     declared_parts = step.get("parts", [])
     part_names: list[str] = []
@@ -395,14 +380,14 @@ def _apply_factor_split(step: dict, ctx: Context, path: str):
             part_names.append(str(prime))
     complete = bool(step.get("complete"))
     for name, (prime, exp) in odd_parts.items():
-        if combined.get(prime) is None or combined[prime].key() != exp.key():
+        if combined[prime] != exp.key():
             raise _Invalid(path, f"declared exponent for {prime} does not match R")
-        if not ctx.exp_at_least(exp, 1):
+        if _exp_lower_bound(exp, bound, 1) < 1:
             raise _Invalid(path, f"cannot show the {prime}-part of R is nonempty")
     if two_exp is not None:
-        if 2 not in combined or combined[2].key() != two_exp.key():
+        if combined.get(2) != two_exp.key():
             raise _Invalid(path, "the 'two' part must match the 2-exponent of R")
-        if not ctx.exp_at_least(two_exp, 2):
+        if _exp_lower_bound(two_exp, bound, 2) < 2:
             raise _Invalid(path, "v2(R) >= 2 is not implied (both factors are even)")
     if g == 1 and 2 in combined:
         raise _Invalid(path, "R must be odd when one of P, Q is even")
@@ -422,7 +407,7 @@ def _apply_factor_split(step: dict, ctx: Context, path: str):
     out = []
     for i, case in enumerate(cases):
         placement = case.get("placement", {})
-        child = replace(ctx, fixed={}, conflict=None)
+        child = replace(ctx, fixed={})
         if complete:
             fm, fp = _build_factors(odd_parts, two_exp, placement)
             fm_json = term_from_json(case.get("fminus", {}), f"{path}.cases[{i}].fminus")

@@ -147,7 +147,9 @@ class ExpExpr(Frozen):
         return ExpExpr(self.lin, self.sym, self.off + delta) if self.sym else ExpExpr(self.lin + delta)
 
     def key(self) -> tuple:
-        return (self.sym, self.lin.key(), self.off)
+        # "" in a plain exponent's symbol slot keeps the keys of one prime
+        # comparable: a symbol is an identifier, never ""
+        return ("" if self.sym is None else self.sym, self.lin.key(), self.off)
 
     def atom_name(self) -> str:
         """Canonical name used to track residue constraints on this exponent.

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import sys
 from importlib import resources
@@ -23,11 +24,11 @@ from jesma.certificate import (
 from jesma.certificate import context, engine
 from jesma.certificate.context import Context
 from jesma.certificate.ineq import IneqClaim, claim_from_json
-from jesma.certificate.model import MAX_TREE_DEPTH, Node, terms_to_json
+from jesma.certificate.model import MAX_TREE_DEPTH, Node, exp_to_json, terms_to_json
 from jesma.cli import main
 from jesma.search import find_solutions_scaled
 from jesma.sieve import ConstraintSet, SieveError, find_killing_modulus
-from jesma.symbolic import ExpExpr, Lin, Term
+from jesma.symbolic import ExpExpr, Lin, Power, Term
 from jesma.triples import Triple
 
 
@@ -375,6 +376,114 @@ def test_substitute_new_variable_must_be_an_identifier():
     )
     verdict = verify_certificate(_substitute_then_kill("w"))
     assert verdict.path == "$.tree.children[0]" and verdict.reason.startswith("congruence not checkable")
+
+
+# -- factor-split's checks ---------------------------------------------------------
+# P^2 - Q^2 - R = 0 as the equation of a congruence certificate, split on the
+# declared parts of R.  Every child is a leaf that cannot close, so a verdict
+# at $.tree.children[0] means the split itself was accepted.
+
+_X, _Y, _Z, _W = (ExpExpr(Lin.var(v)) for v in "xyzw")
+_OPEN_LEAF = {"step": {"kind": "contradiction", "reason": "residue-conflict", "name": "open"}}
+_SPLIT_ACCEPTED = ("$.tree.children[0]", "no empty residue constraint on 'open'")
+
+
+def _split_case(parts, sides) -> dict:
+    """A complete split's case: each odd part goes whole to its side, and
+    the 'two' part 2^e puts 2^(e-1) on its side and 2 on the other."""
+    factors = {"-": [], "+": []}
+    for (name, e), side in zip(parts.items(), sides):
+        if name == "two":
+            factors[side].append(Power(2, e.shifted(-1)))
+            factors["+" if side == "-" else "-"].append(Power(2, ExpExpr(Lin.const_of(1))))
+        else:
+            factors[side].append(Power(int(name), e))
+    fminus, fplus = (terms_to_json([Term(1, tuple(factors[side]))])[0] for side in "-+")
+    return {"placement": dict(zip(parts, sides)), "fminus": fminus, "fplus": fplus}
+
+
+def _factor_split(p, q, r, parts, lower_bounds=None) -> tuple[str, str]:
+    """The path and reason of the verdict on a complete factor-split of
+    P^2 - Q^2 = R.  p and q are (base, exponent) pairs, r is a tuple of them,
+    and parts maps each part's name, "two" or its prime, to its declared
+    exponent."""
+    pp, qq = Power(*p), Power(*q)
+    terms = [Term(1, (pp, pp)), Term(-1, (qq, qq)), Term(-1, tuple(Power(*pw) for pw in r))]
+    step = {
+        "kind": "factor-split", "eq": "main", "complete": True,
+        "p": {"base": str(pp.base), "exp": exp_to_json(pp.exp)},
+        "q": {"base": str(qq.base), "exp": exp_to_json(qq.exp)},
+        "parts": [{"two": True, "exp": exp_to_json(e)} if name == "two" else {"prime": name, "exp": exp_to_json(e)}
+                  for name, e in parts.items()],
+        "cases": [_split_case(parts, sides) for sides in itertools.product("-+", repeat=len(parts))],
+    }
+    constraints = {"lower_bounds": {name: str(b) for name, b in (lower_bounds or {}).items()}}
+    equation = {"form": "congruence", "terms": terms_to_json(terms), "constraints": constraints}
+    tree = {"step": step, "children": [_OPEN_LEAF] * len(step["cases"])}
+    verdict = verify_certificate(Certificate("factor split", equation, (), Node.from_json(tree)))
+    return verdict.path, verdict.reason
+
+
+_R_X1 = ExpExpr(Lin.var("x"), "r", 1)  # r*(x) + 1
+_R_X = ExpExpr(Lin.var("x"), "r")  # r*(x)
+
+
+@pytest.mark.parametrize(
+    "p, q, r, parts, lower_bounds, reason",
+    [
+        ((2, _X), (3, _Y), ((5, _Z),), {"5": _Z}, {"x": 0}, "cannot determine the parity of P"),
+        ((3, _X), (2, _Y), ((5, _Z),), {"5": _Z}, {"y": 0}, "cannot determine the parity of Q"),
+        ((3, _X), (2, _Y), ((5, _Z),), {"5": _Z}, {"z": 0}, "cannot show the 5-part of R is nonempty"),
+        ((3, _X), (5, _Y), ((2, _Z), (7, _W)), {"two": _Z, "7": _W}, {},
+         "v2(R) >= 2 is not implied (both factors are even)"),
+    ],
+    ids=["parity-P", "parity-Q", "odd-part", "two-part"],
+)
+def test_factor_split_rejects_a_bound_it_cannot_prove(p, q, r, parts, lower_bounds, reason):
+    assert _factor_split(p, q, r, parts, lower_bounds) == ("$.tree", reason)
+    # the bound that was missing, stated, lets the split through
+    proved = {name: 2 for name in lower_bounds} or {"z": 2}
+    assert _factor_split(p, q, r, parts, proved) == _SPLIT_ACCEPTED
+
+
+@pytest.mark.parametrize(
+    "r, parts, lower_bounds, verdict",
+    [
+        # r*(x) + 1 >= 1 from r >= 1 and x >= 0: the linear part's bound is 0,
+        # and the offset reaches 1
+        (((5, _R_X1),), {"5": _R_X1}, {"x": 0}, _SPLIT_ACCEPTED),
+        (((5, _R_X),), {"5": _R_X}, {"x": 0}, ("$.tree", "cannot show the 5-part of R is nonempty")),
+        # r*(x) >= 2 from r >= 2 and x >= 1, the product of the two bounds.
+        # The split then fails where every complete split of a symbol-scaled
+        # 'two' part fails: 2^(r*(x)-1) * 2 has no normal form in common with
+        # 2^(r*(x))
+        (((2, _R_X), (7, _W)), {"two": _R_X, "7": _W}, {"r": 2},
+         ("$.tree", "cases[0]: factor product does not reproduce R")),
+        (((2, _R_X), (7, _W)), {"two": _R_X, "7": _W}, {},
+         ("$.tree", "v2(R) >= 2 is not implied (both factors are even)")),
+    ],
+    ids=["offset", "no-offset", "product", "product-1"],
+)
+def test_factor_split_bounds_a_symbol_scaled_part_by_the_sieve_rule(r, parts, lower_bounds, verdict):
+    q = (5, _Y) if "two" in parts else (2, _Y)
+    assert _factor_split((3, _X), q, r, parts, lower_bounds) == verdict
+
+
+def test_factor_split_rejects_a_prime_with_a_plain_and_a_scaled_exponent():
+    # R = 2^z * 2^(r*(w)): the normal form lists 2 twice, which the split
+    # does not decompose; comparing the two exponents' keys once raised
+    r = ((2, _Z), (2, ExpExpr(Lin.var("w"), "r")))
+    assert _factor_split((3, _X), (5, _Y), r, {}) == ("$.tree", "exponent of 2 in R is not a supported shape")
+
+
+def test_factor_split_reads_a_square_and_R_through_the_normal_form():
+    # P = 2^(r*(x)) squares to 4^(r*(x)), and R = 5^z * 25^z has one
+    # 5-exponent, 3z.  P is even by r*(x) >= 1, from the stated r >= 1 and
+    # x >= 1 of a congruence certificate, which only the sieve's rule reads
+    assert _factor_split((2, _R_X), (3, _Y), ((5, _Z), (25, _Z)), {"5": ExpExpr(Lin.of(0, z=3))}) == _SPLIT_ACCEPTED
+    assert _factor_split((2, _R_X), (3, _Y), ((5, _Z), (25, _Z)), {"5": _Z}) == (
+        "$.tree", "declared exponent for 5 does not match R"
+    )
 
 
 def test_certificate_agrees_with_search():
@@ -841,10 +950,12 @@ def test_theorem_verification_work_is_pinned(monkeypatch):
     # Fourier-Motzkin runs and 133 bound proofs; eliminating every problem
     # once, with no single-fact shortcut, took 87 runs of the 140 queries;
     # proving bounds per name, for the sieve to compose, took 140 queries,
-    # 39 runs and 26 proofs, where each linear form and symbol is proved now
+    # 39 runs and 26 proofs, where each linear form and symbol is proved now;
+    # factor-split's bound checks asked implied directly (164 queries and 38
+    # proofs) before they read the sieve's exponent rule
     counts = _count_work(monkeypatch)
     assert verify_certificate(Certificate.from_json(_shipped("theorem_20_99_101"))).valid
-    assert counts == {"implied": 164, "fm": 51, "bounds": 38, "folds": 35}, counts
+    assert counts == {"implied": 170, "fm": 51, "bounds": 53, "folds": 35}, counts
 
 
 def test_each_verification_has_its_own_memo(monkeypatch):

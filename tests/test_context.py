@@ -13,6 +13,7 @@ from jesma.certificate.context import (
     _FM_FACT_CAP,
     RESIDUE_MODULUS_MAX,
     Context,
+    DivisibilityFact,
     _eliminate,
     _infeasible,
     _normalize_fact,
@@ -41,7 +42,7 @@ def _infeasible_reference(facts) -> bool:
 def _implied_reference(ctx: Context, lin: Lin) -> bool:
     # rebuilds the system on every call, as Context.implied did before its
     # system was cached on the context
-    if ctx.conflict:
+    if any(not allowed for _, allowed in ctx.residues.values()):
         return True
     subst = ctx._residue_substitution()
     system = [ctx._transform(dict(cs), d, subst) for cs, d in ctx.facts]
@@ -230,7 +231,7 @@ def test_a_variable_spelt_like_an_exponent_keeps_its_own_bound():
     ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
     ctx = ctx.with_fact(Lin.var("x") - 1).with_fact(Lin.var("x+1") - 1)
     with pytest.raises(sieve.UnsupportedModulusError, match=r"term 2\^\(x\+1\) has a non-unit base modulo 4"):
-        sieve.congruence_fold(terms, 4, ctx.sieve_constraints(), lin_bound=ctx.lin_lower_bound)
+        sieve.congruence_fold(terms, 4, sieve.ConstraintSet(ctx.residues, ctx.fixed), lin_bound=ctx.lin_lower_bound)
 
 
 def test_normal_form_takes_terms_it_cannot_memoize():
@@ -241,6 +242,76 @@ def test_normal_form_takes_terms_it_cannot_memoize():
     assert ctx.normal_form([Term(3, (Power(1, listed),))]) == ctx.normal_form([Term.of(3)])
     with pytest.raises(ValueError, match="zero coefficient term"):
         ctx.normal_form([Term(0, (Power(2, listed),))])
+
+
+def test_terms_equal_orders_a_plain_and_a_scaled_exponent_of_one_prime():
+    # a plain exponent's key once held None where a scaled one holds its
+    # symbol, so sorting the two keys of the prime 2 raised TypeError
+    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
+    plain, scaled = Power(2, ExpExpr(Lin.var("x"))), Power(2, ExpExpr(Lin.var("y"), "r"))
+    assert ctx.terms_equal([Term(1, (plain,)), Term(1, (scaled,))], [Term(1, (scaled,)), Term(1, (plain,))])
+    assert ctx.terms_equal([Term(1, (plain, scaled))], [Term(1, (scaled, plain))])
+    assert not ctx.terms_equal([Term(1, (plain,))], [Term(1, (scaled,))])
+
+
+def test_an_emptied_residue_set_implies_every_fact():
+    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence").with_fact(Lin.var("x") - 1)
+    assert not ctx.implied(Lin.var("x") - 2)
+    empty = ctx.with_residue("x", 2, {0}).with_residue("x", 4, {1})
+    assert empty.residues["x"] == (4, frozenset())
+    assert empty.implied(Lin.var("x") - 2) and empty.implied(Lin.const_of(-1))
+
+
+@pytest.mark.parametrize("m, stride", [(2, 2), (4, 2), (6, 2), (6, 3), (8, 4), (12, 6)])
+def test_substituted_carries_a_variables_residues_to_the_new_variable(m, stride):
+    """Under x := stride * t, t meets its carried residues exactly where
+    stride * t meets those of x, for every set of multiples of the stride
+    mod m: an emptied set stays empty, and a set that allows every t goes."""
+    base = Context(triple=None, k_min=1, excluded=(), equation_form="congruence").with_residue("y", 2, {1})
+    multiples = range(0, m, stride)
+    for allowed in itertools.chain.from_iterable(
+        itertools.combinations(multiples, k) for k in range(len(multiples) + 1)
+    ):
+        sub = base.with_residue("x", m, allowed).substituted("x", stride, "t")
+        assert set(sub.residues) <= {"y", "t"} and sub.residues["y"] == (2, frozenset({1}))
+        for t in range(3 * m):
+            carried = sub.residues.get("t")
+            meets = carried is None or t % carried[0] in carried[1]
+            assert meets == ((stride * t) % m in allowed), (allowed, t)
+        assert sub.implied(Lin.const_of(-1)) == (not allowed)
+
+
+# r*(x+y) and 5^(r*(x+1)) | 3^x - 2^(x+y) under x := 2t, on a box of points
+_SUBSTITUTION_BOX = [
+    ({"r": r, "x": 2 * t, "y": y}, {"r": r, "t": t, "y": y})
+    for r, t, y in itertools.product(range(1, 4), range(4), range(4))
+]
+
+
+def test_substituted_renames_an_atoms_residues():
+    atom = ExpExpr(Lin.of(0, x=1, y=1), "r")
+    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
+    ctx = ctx.with_equation("main", [Term(1, (Power(3, atom),)), Term.of(-1)], ())
+    ctx = ctx.with_residue(atom.atom_name(), 3, {1}).with_residue("x", 2, {0})
+    sub = ctx.substituted("x", 2, "t")
+    assert sub.residues == {"r*(2*t+y)": (3, frozenset({1}))}
+    renamed = sub.atom_registry()["r*(2*t+y)"]
+    for before, after in _SUBSTITUTION_BOX:
+        assert renamed.evaluate(after) == atom.evaluate(before)
+
+
+def test_substituted_rewrites_each_divisibility_fact():
+    fact = DivisibilityFact(
+        Term(1, (Power(5, ExpExpr(Lin.of(1, x=1), "r")),)), "-",
+        Power(3, ExpExpr(Lin.var("x"))), Power(2, ExpExpr(Lin.of(0, x=1, y=1))),
+    )
+    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence").with_residue("x", 2, {0})
+    (moved,) = ctx.with_divisibility(fact).substituted("x", 2, "t").divisibilities
+    assert moved.side == "-" and "x" not in moved.divisor.variables() | moved.p.exp.variables() | moved.q.exp.variables()
+    for before, after in _SUBSTITUTION_BOX:
+        assert moved.divisor.evaluate(after) == fact.divisor.evaluate(before)
+        assert (moved.p.base, moved.p.exp.evaluate(after)) == (fact.p.base, fact.p.exp.evaluate(before))
+        assert (moved.q.base, moved.q.exp.evaluate(after)) == (fact.q.base, fact.q.exp.evaluate(before))
 
 
 def _lin_residues_reference(ctx: Context, lin: Lin, d: int) -> set[int]:

@@ -70,9 +70,6 @@ GOOD = {"form": "general", "bases": ["3", "2", "5"], "x_max": "5", "y_max": "5",
         "expected": [["1", "1", "1"], ["2", "4", "2"]]}
 
 
-# A corpus run has one code path, so its diagnostics do not depend on the CPU
-# count; the ids are the ones this test had when a run could pool.
-@pytest.mark.parametrize("cpus", [1, 4], ids=["serial", "default-pool"])
 @pytest.mark.parametrize(
     "bad, reason",
     [
@@ -103,8 +100,7 @@ GOOD = {"form": "general", "bases": ["3", "2", "5"], "x_max": "5", "y_max": "5",
          "k_range-empty", "k_range-wide", "bound-cap", "expected-off-grid", "terai-off-grid",
          "expected-bits", "power-bits", "fermat-n"],
 )
-def test_invalid_instance_is_malformed_entry(tmp_path, capsys, monkeypatch, bad, reason, cpus):
-    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+def test_invalid_instance_is_malformed_entry(tmp_path, capsys, bad, reason):
     f = tmp_path / "corpus.json"
     f.write_text(json.dumps([{"id": "a", **GOOD}, {"id": "bad", **bad}, {"id": "b", **GOOD}]))
     code = main(["corpus", "--file", str(f)])

@@ -102,10 +102,9 @@ SAMPLES = [
              ordering=OrderingClass.CASE_1_1, equations={"main": ((TX,), (TY,))}, facts=(((("x", 1),), -1),),
              residues={"z": (2, frozenset({0}))}, syms=("r",), pattern=(2,),
              divisibilities=(DivisibilityFact(TX, "-", Power(2, EX), Power(3, EY)),),
-             fixed={"y": 1}, conflict=None,
-             memo=VerificationMemo()),
+             fixed={"y": 1}, memo=VerificationMemo()),
         dict(triple=None, k_min=1, excluded=(), equation_form="congruence", ordering=None, equations={}, facts=(),
-             residues={}, syms=(), pattern=None, divisibilities=(), fixed={}, conflict="z",
+             residues={}, syms=(), pattern=None, divisibilities=(), fixed={},
              memo=VerificationMemo({(): False})),
     ),
 ]

@@ -683,10 +683,11 @@ def test_scan_record_matches_full_enumeration(m_max, z_even):
 # -- soundness oracle -----------------------------------------------------------
 # Random killing certificates over x, y and atoms r*(lin), with moduli 2-24.
 # Each one that verifies is checked by brute force on the box x, y in 0..8,
-# r in 0..4, at the points of the certificate's domain: x, y and r are their
+# r in -2..4, at the points of the certificate's domain: x, y and r are their
 # fixed values or at least their stated lower bounds (1 when neither is
 # stated), every constraint holds and every exponent is >= 0.  No such
-# point may solve the congruence.
+# point may solve the congruence.  A fixed r may be negative: the sieve
+# proves no bound of r then, and a product of two unproved bounds is none.
 
 ORACLE_ATOM_LINS = (Lin.var("x"), Lin.of(0, x=1, y=-1), Lin.of(-1, y=1))
 ORACLE_ATOMS = tuple(ExpExpr(lin, "r").atom_name() for lin in ORACLE_ATOM_LINS)
@@ -698,7 +699,7 @@ def _oracle_point(x, y, r):
     return {**point, **{name: r * lin.evaluate(point) for name, lin in zip(ORACLE_ATOMS, ORACLE_ATOM_LINS)}}
 
 
-ORACLE_BOX = [_oracle_point(*p) for p in itertools.product(range(9), range(9), range(5))]
+ORACLE_BOX = [_oracle_point(*p) for p in itertools.product(range(9), range(9), range(-2, 5))]
 
 
 def _oracle_draw(rnd):
@@ -721,7 +722,8 @@ def _oracle_draw(rnd):
             allowed = set(rnd.sample(range(4), rnd.randint(1, 2)))
             cons = cons.with_residue(rnd.choice(ORACLE_NAMES), rnd.randint(2, 4), allowed)
         elif kind == "fixed":
-            cons = cons.with_fixed(rnd.choice(ORACLE_NAMES), rnd.randint(-1, 8))
+            name = rnd.choice(ORACLE_NAMES + ("r",))
+            cons = cons.with_fixed(name, rnd.randint(-2, 4 if name == "r" else 8))  # r stays in the box
         else:
             cons = cons.with_lower_bound(rnd.choice(("x", "y", "r")), rnd.randint(0, 2))
     return terms, cons, rnd.randint(2, 24)
