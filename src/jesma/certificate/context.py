@@ -32,7 +32,6 @@ __all__ = [
     "RESIDUE_MODULUS_MAX",
     "Context",
     "DivisibilityFact",
-    "ProvenInequality",
     "VerificationMemo",
     "refine_residues",
 ]
@@ -110,11 +109,15 @@ def _term_form(t: Term) -> tuple:
                 key = (prime, e.sym, e.lin.key())
                 lin, off, count = symbolic.get(key, (e.lin, 0, 0))
                 symbolic[key] = (lin, off + e.off * mult, count + mult)
-    pows = [(b, ExpExpr(lin).key()) for b, lin in plain.items() if lin.key() != ((), 0)]
-    pows += [
-        (prime, ExpExpr(lin * count, sym, off).key())
-        for (prime, sym, _), (lin, off, count) in symbolic.items()
-    ]
+    # 2 * 2^(r*(x)-1) is 2^(r*(x)): a constant exponent joins the offset of
+    # its prime's one symbol-scaled exponent
+    scaled = [prime for prime, _, _ in symbolic]
+    pows = []
+    for (prime, sym, _), (lin, off, count) in symbolic.items():
+        if scaled.count(prime) == 1 and prime in plain and plain[prime].is_const():
+            off += plain.pop(prime).const
+        pows.append((prime, ExpExpr(lin * count, sym, off).key()))
+    pows += [(b, ExpExpr(lin).key()) for b, lin in plain.items() if lin.key() != ((), 0)]
     return (sign, tuple(sorted(pows)))
 
 
@@ -149,16 +152,6 @@ class DivisibilityFact(Frozen):
             Power(self.p.base, self.p.exp.substitute(var, repl)),
             Power(self.q.base, self.q.exp.substitute(var, repl)),
         )
-
-
-class ProvenInequality(Frozen):
-    _fields = ("lhs", "rhs", "strict")
-
-    def __init__(self, lhs: tuple[Term, ...], rhs: tuple[Term, ...], strict: bool):
-        # both sides in context variables
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "strict", strict)
 
 
 class Context(Frozen):

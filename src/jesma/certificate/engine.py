@@ -10,6 +10,7 @@ lemma's side conditions are verified to apply.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from ..arith import FactoringLimitError, factorize_bounded
@@ -18,7 +19,7 @@ from ..reduction import OrderingClass, factor_k_symbolic, isolated_base
 from ..sieve import ConstraintSet, SieveError, _exp_lower_bound, congruence_fold
 from ..symbolic import ExpExpr, Lin, Power, Term, term_product
 from ..triples import Triple
-from .context import Context, DivisibilityFact, ProvenInequality, refine_residues
+from .context import Context, DivisibilityFact, refine_residues
 from .ineq import check_ratio_rule, claim_from_json, verify_claim_in_context
 from .model import (
     Certificate,
@@ -317,27 +318,18 @@ def _apply_factor_split(step: dict, ctx: Context, path: str):
     signed = list(lhs) + [t.scaled(-1) for t in rhs]
     if len(signed) != 3:
         raise _Invalid(path, "factor split needs an equation with exactly three terms")
-    p2 = ctx.normal_form([Term(1, (p_pow, p_pow))])
-    q2 = ctx.normal_form([Term(1, (q_pow, q_pow))])
-    p_term = q_term = r_term = None
-    eps = 0
-    for t in signed:
-        pos = ctx.normal_form([Term(abs(t.coef), t.powers)])
-        if abs(t.coef) == 1 and pos == p2:
-            p_term, eps = t, 1 if t.coef > 0 else -1
-    if p_term is None:
+    p2, q2 = (ctx.normal_form([Term(1, (pw, pw))]) for pw in (p_pow, q_pow))
+    forms = [ctx.normal_form([Term(abs(t.coef), t.powers)]) for t in signed]
+    # the last term that matches +-P^2 sets the sign; exactly one other matches -Q^2
+    squares = [i for i, t in enumerate(signed) if abs(t.coef) == 1 and forms[i] == p2]
+    if not squares:
         raise _Invalid(path, f"no term matches {p_pow}^2")
-    for t in signed:
-        if t is p_term:
-            continue
-        pos = ctx.normal_form([Term(abs(t.coef), t.powers)])
-        if abs(t.coef) == 1 and t.coef == -eps and pos == q2:
-            q_term = t
-        else:
-            r_term = t
-    if q_term is None or r_term is None:
+    eps = signed[squares[-1]].coef
+    rest = [i for i in range(3) if i != squares[-1]]
+    is_q = [signed[i].coef == -eps and forms[i] == q2 for i in rest]
+    if is_q.count(True) != 1:
         raise _Invalid(path, f"no term matches -{q_pow}^2")
-    r = Term(r_term.coef * -eps, r_term.powers)
+    r = signed[rest[is_q.index(False)]].scaled(-eps)
     if r.coef != 1:
         raise _Invalid(path, f"difference of squares must equal a unit-coefficient product, got {r}")
     if math.gcd(p_pow.base, q_pow.base) != 1:
@@ -361,45 +353,47 @@ def _apply_factor_split(step: dict, ctx: Context, path: str):
             raise _Invalid(path, f"exponent of {prime} in R is not a supported shape")
         combined[prime] = key
 
-    declared_parts = step.get("parts", [])
-    part_names: list[str] = []
-    odd_parts: dict[str, tuple[int, ExpExpr]] = {}
-    two_exp: ExpExpr | None = None
-    for i, pj in enumerate(declared_parts):
+    # name -> (the power its own side takes, the power the other side takes
+    # or None, the declared exponent).  An odd part p^e goes whole to its
+    # side; gcd(F-, F+) = 2 splits the 'two' part 2^e into 2^(e-1) and 2.
+    names: list[str] = []  # in declaration order, so a part declared twice shows
+    rows: dict[str, tuple[Power, Power | None, ExpExpr]] = {}
+    for i, pj in enumerate(step.get("parts", [])):
         exp = exp_from_json(pj["exp"], f"{path}.parts[{i}]")
         if pj.get("two"):
             if g != 2:
                 raise _Invalid(path, "a 'two' part needs gcd(F-, F+) = 2")
-            two_exp = exp
-            part_names.append("two")
+            names.append("two")
+            rows["two"] = (Power(2, exp.shifted(-1)), Power(2, ExpExpr(Lin.const_of(1))), exp)
         else:
             prime = int(pj["prime"])
             if prime == 2 or prime not in combined:
                 raise _Invalid(path, f"part prime {prime} does not divide R")
-            odd_parts[str(prime)] = (prime, exp)
-            part_names.append(str(prime))
+            names.append(str(prime))
+            rows[str(prime)] = (Power(prime, exp), None, exp)
     complete = bool(step.get("complete"))
-    for name, (prime, exp) in odd_parts.items():
-        if combined[prime] != exp.key():
-            raise _Invalid(path, f"declared exponent for {prime} does not match R")
-        if _exp_lower_bound(exp, bound, 1) < 1:
-            raise _Invalid(path, f"cannot show the {prime}-part of R is nonempty")
-    if two_exp is not None:
-        if combined.get(2) != two_exp.key():
-            raise _Invalid(path, "the 'two' part must match the 2-exponent of R")
-        if _exp_lower_bound(two_exp, bound, 2) < 2:
-            raise _Invalid(path, "v2(R) >= 2 is not implied (both factors are even)")
+    for own, other, exp in sorted(rows.values(), key=lambda row: row[1] is not None):  # 'two' last
+        if other is None:
+            if combined[own.base] != exp.key():
+                raise _Invalid(path, f"declared exponent for {own.base} does not match R")
+            if _exp_lower_bound(exp, bound, 1) < 1:
+                raise _Invalid(path, f"cannot show the {own.base}-part of R is nonempty")
+        else:
+            if combined.get(2) != exp.key():
+                raise _Invalid(path, "the 'two' part must match the 2-exponent of R")
+            if _exp_lower_bound(exp, bound, 2) < 2:
+                raise _Invalid(path, "v2(R) >= 2 is not implied (both factors are even)")
     if g == 1 and 2 in combined:
         raise _Invalid(path, "R must be odd when one of P, Q is even")
     if complete:
-        if g == 2 and two_exp is None:
+        if g == 2 and "two" not in rows:
             raise _Invalid(path, "a complete split with even factors needs the 'two' part")
-        missing = set(map(str, combined)) - set(odd_parts) - ({"2"} if two_exp is not None else set())
+        missing = set(map(str, combined)) - {str(own.base) for own, _, _ in rows.values()}
         if missing:
             raise _Invalid(path, f"complete split must place every prime of R; missing {sorted(missing)}")
 
     cases = step.get("cases", [])
-    expected = _placement_vectors(part_names)
+    expected = [tuple(sorted(zip(names, sides))) for sides in itertools.product("-+", repeat=len(names))]
     got = [tuple(sorted(c.get("placement", {}).items())) for c in cases]
     if sorted(got) != sorted(expected):
         raise _Invalid(path, "cases must cover every placement of the declared parts exactly once")
@@ -409,7 +403,13 @@ def _apply_factor_split(step: dict, ctx: Context, path: str):
         placement = case.get("placement", {})
         child = replace(ctx, fixed={})
         if complete:
-            fm, fp = _build_factors(odd_parts, two_exp, placement)
+            factors: dict[str, list[Power]] = {"-": [], "+": []}
+            for name, side in placement.items():
+                own, other, _ = rows[name]
+                factors[side].append(own)
+                if other is not None:
+                    factors["+" if side == "-" else "-"].append(other)
+            fm, fp = (Term(1, tuple(factors[side])) for side in "-+")
             fm_json = term_from_json(case.get("fminus", {}), f"{path}.cases[{i}].fminus")
             fp_json = term_from_json(case.get("fplus", {}), f"{path}.cases[{i}].fplus")
             if not ctx.terms_equal([fm_json], [fm]) or not ctx.terms_equal([fp_json], [fp]):
@@ -421,39 +421,12 @@ def _apply_factor_split(step: dict, ctx: Context, path: str):
             qt = Term(1, (q_pow,))
             child = child.with_equation("f-", (pt, qt.scaled(-1)), (fm,))
             child = child.with_equation("f+", (pt, qt), (fp,))
-        else:
+        else:  # each row's own power divides the factor on its side
             for name, side in placement.items():
-                prime, exp = odd_parts[name]
-                divisor = Term(1, (Power(prime, exp),))
+                divisor = Term(1, (rows[name][0],))
                 child = child.with_divisibility(DivisibilityFact(divisor, side, p_pow, q_pow))
         out.append(child)
     return out
-
-
-def _placement_vectors(part_names: list[str]) -> list[tuple]:
-    vectors: list[tuple] = [()]
-    for name in part_names:
-        vectors = [v + ((name, side),) for v in vectors for side in ("-", "+")]
-    return [tuple(sorted(v)) for v in vectors]
-
-
-def _build_factors(odd_parts, two_exp, placement):
-    minus_pows: list[Power] = []
-    plus_pows: list[Power] = []
-    for name, side in placement.items():
-        if name == "two":
-            heavy = Power(2, two_exp.shifted(-1))
-            light = Power(2, ExpExpr(Lin.const_of(1)))
-            if side == "-":
-                minus_pows.append(heavy)
-                plus_pows.append(light)
-            else:
-                plus_pows.append(heavy)
-                minus_pows.append(light)
-        else:
-            prime, exp = odd_parts[name]
-            (minus_pows if side == "-" else plus_pows).append(Power(prime, exp))
-    return Term(1, tuple(minus_pows)), Term(1, tuple(plus_pows))
 
 
 def _apply_inequality(step: dict, ctx: Context, path: str):
@@ -461,10 +434,11 @@ def _apply_inequality(step: dict, ctx: Context, path: str):
     return [ctx]
 
 
-def _verify_chain(claim_objs, ctx: Context, path: str) -> ProvenInequality:
+def _verify_chain(claim_objs, ctx: Context, path: str) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
+    """The two ends (larger, smaller) of the strict inequality the chain proves."""
     if not claim_objs:
         raise _Invalid(path, "empty inequality chain")
-    links: list[ProvenInequality] = []
+    links: list[tuple] = []  # (lhs, rhs, strict), both sides in context variables
     for i, obj in enumerate(claim_objs):
         cpath = f"{path}.claims[{i}]"
         if obj.get("subset"):
@@ -478,20 +452,19 @@ def _verify_chain(claim_objs, ctx: Context, path: str) -> ProvenInequality:
                 if item not in left:
                     raise _Invalid(cpath, "right side is not a sub-sum of the left side")
                 left.remove(item)
-            links.append(ProvenInequality(lhs, rhs, False))
+            links.append((lhs, rhs, False))
             continue
         claim = claim_from_json(obj, cpath)
         reason = verify_claim_in_context(ctx, claim, cpath)
         if reason:
             raise _Invalid(cpath, reason)
-        links.append(ProvenInequality(claim.ctx_lhs, claim.ctx_rhs, claim.strict))
+        links.append((claim.ctx_lhs, claim.ctx_rhs, claim.strict))
     for i in range(len(links) - 1):
-        if not ctx.terms_equal(links[i].rhs, links[i + 1].lhs):
+        if not ctx.terms_equal(links[i][1], links[i + 1][0]):
             raise _Invalid(path, f"chain break between claims[{i}] and claims[{i + 1}]")
-    strict = any(c.strict for c in links)
-    if not strict:
+    if not any(strict for _, _, strict in links):
         raise _Invalid(path, "chain proves no strict inequality")
-    return ProvenInequality(links[0].lhs, links[-1].rhs, strict)
+    return links[0][0], links[-1][1]
 
 
 # -- contradiction leaves -----------------------------------------------------------
@@ -566,8 +539,8 @@ def _contr_equation_impossible(step: dict, ctx: Context, path: str) -> None:
         big, small = rhs, lhs
     else:
         raise _Invalid(path, "'larger' must be 'lhs' or 'rhs'")
-    fact = _verify_chain(step.get("claims", []), ctx, path)
-    if not ctx.terms_equal(fact.lhs, big) or not ctx.terms_equal(fact.rhs, small):
+    larger, smaller = _verify_chain(step.get("claims", []), ctx, path)
+    if not ctx.terms_equal(larger, big) or not ctx.terms_equal(smaller, small):
         raise _Invalid(path, "the proven inequality does not compare the equation's sides")
 
 
@@ -576,13 +549,13 @@ def _contr_divisor_too_large(step: dict, ctx: Context, path: str) -> None:
     if not 0 <= idx < len(ctx.divisibilities):
         raise _Invalid(path, "no such divisibility fact")
     fact = ctx.divisibilities[idx]
-    ineq = _verify_chain(step.get("claims", []), ctx, path)
+    larger, smaller = _verify_chain(step.get("claims", []), ctx, path)
     # chain must show divisor > P + Q >= |dividend|, with dividend > 0
     p_term = Term(1, (fact.p,))
     q_term = Term(1, (fact.q,))
-    if not ctx.terms_equal(ineq.lhs, [fact.divisor]):
+    if not ctx.terms_equal(larger, [fact.divisor]):
         raise _Invalid(path, "the chain does not start from the divisor")
-    if not ctx.terms_equal(ineq.rhs, [p_term, q_term]):
+    if not ctx.terms_equal(smaller, [p_term, q_term]):
         raise _Invalid(path, "the chain does not end at P + Q")
 
 

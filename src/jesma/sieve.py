@@ -750,21 +750,14 @@ def two_term_solutions(
 
 
 class KillingWitness(Frozen):
-    """The record of a killing-modulus scan.  modulus and solutions are the
-    killing modulus and its empty solution set, or None when no scanned
-    modulus kills; scanned and skipped list every modulus tried."""
+    """The record of a killing-modulus scan.  modulus is the killing
+    modulus, or None when no scanned modulus kills; scanned and skipped
+    list every modulus tried."""
 
-    _fields = ("modulus", "solutions", "scanned", "skipped")
+    _fields = ("modulus", "scanned", "skipped")
 
-    def __init__(
-        self,
-        modulus: int | None,
-        solutions: ResidueClassSet | None,
-        scanned: tuple[int, ...],
-        skipped: tuple[tuple[int, str], ...],
-    ):
+    def __init__(self, modulus: int | None, scanned: tuple[int, ...], skipped: tuple[tuple[int, str], ...]):
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "solutions", solutions)
         object.__setattr__(self, "scanned", scanned)
         object.__setattr__(self, "skipped", skipped)
 
@@ -798,6 +791,5 @@ def find_killing_modulus(
             continue
         scanned.append(m)
         if fold.is_empty():
-            rcs = ResidueClassSet(m, fold.variables, fold.periods, frozenset())
-            return KillingWitness(m, rcs, tuple(scanned), tuple(skipped))
-    return KillingWitness(None, None, tuple(scanned), tuple(skipped))
+            return KillingWitness(m, tuple(scanned), tuple(skipped))
+    return KillingWitness(None, tuple(scanned), tuple(skipped))

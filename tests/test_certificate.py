@@ -402,15 +402,14 @@ def _split_case(parts, sides) -> dict:
     return {"placement": dict(zip(parts, sides)), "fminus": fminus, "fplus": fplus}
 
 
-def _factor_split(p, q, r, parts, lower_bounds=None) -> tuple[str, str]:
-    """The path and reason of the verdict on a complete factor-split of
-    P^2 - Q^2 = R.  p and q are (base, exponent) pairs, r is a tuple of them,
-    and parts maps each part's name, "two" or its prime, to its declared
-    exponent."""
+def _split_json(p, q, r, parts, lower_bounds=None, complete=True) -> tuple[dict, dict]:
+    """The equation and case tree of a factor-split of P^2 - Q^2 = R.  p and
+    q are (base, exponent) pairs, r is a tuple of them, and parts maps each
+    part's name, "two" or its prime, to its declared exponent."""
     pp, qq = Power(*p), Power(*q)
     terms = [Term(1, (pp, pp)), Term(-1, (qq, qq)), Term(-1, tuple(Power(*pw) for pw in r))]
     step = {
-        "kind": "factor-split", "eq": "main", "complete": True,
+        "kind": "factor-split", "eq": "main", "complete": complete,
         "p": {"base": str(pp.base), "exp": exp_to_json(pp.exp)},
         "q": {"base": str(qq.base), "exp": exp_to_json(qq.exp)},
         "parts": [{"two": True, "exp": exp_to_json(e)} if name == "two" else {"prime": name, "exp": exp_to_json(e)}
@@ -419,9 +418,17 @@ def _factor_split(p, q, r, parts, lower_bounds=None) -> tuple[str, str]:
     }
     constraints = {"lower_bounds": {name: str(b) for name, b in (lower_bounds or {}).items()}}
     equation = {"form": "congruence", "terms": terms_to_json(terms), "constraints": constraints}
-    tree = {"step": step, "children": [_OPEN_LEAF] * len(step["cases"])}
+    return equation, {"step": step, "children": [_OPEN_LEAF] * len(step["cases"])}
+
+
+def _split_verdict(equation, tree) -> tuple[str, str]:
     verdict = verify_certificate(Certificate("factor split", equation, (), Node.from_json(tree)))
     return verdict.path, verdict.reason
+
+
+def _factor_split(p, q, r, parts, lower_bounds=None, complete=True) -> tuple[str, str]:
+    """The path and reason of the verdict on the factor-split _split_json builds."""
+    return _split_verdict(*_split_json(p, q, r, parts, lower_bounds, complete))
 
 
 _R_X1 = ExpExpr(Lin.var("x"), "r", 1)  # r*(x) + 1
@@ -453,16 +460,17 @@ def test_factor_split_rejects_a_bound_it_cannot_prove(p, q, r, parts, lower_boun
         # and the offset reaches 1
         (((5, _R_X1),), {"5": _R_X1}, {"x": 0}, _SPLIT_ACCEPTED),
         (((5, _R_X),), {"5": _R_X}, {"x": 0}, ("$.tree", "cannot show the 5-part of R is nonempty")),
-        # r*(x) >= 2 from r >= 2 and x >= 1, the product of the two bounds.
-        # The split then fails where every complete split of a symbol-scaled
-        # 'two' part fails: 2^(r*(x)-1) * 2 has no normal form in common with
-        # 2^(r*(x))
-        (((2, _R_X), (7, _W)), {"two": _R_X, "7": _W}, {"r": 2},
-         ("$.tree", "cases[0]: factor product does not reproduce R")),
+        # r*(x) >= 2 from r >= 2 and x >= 1, the product of the two bounds;
+        # the factors 2^(r*(x)-1) and 2 reproduce R because the normal form
+        # folds the constant 2-exponent into the offset of the scaled one
+        (((2, _R_X), (7, _W)), {"two": _R_X, "7": _W}, {"r": 2}, _SPLIT_ACCEPTED),
         (((2, _R_X), (7, _W)), {"two": _R_X, "7": _W}, {},
          ("$.tree", "v2(R) >= 2 is not implied (both factors are even)")),
+        # R = 2^3 * 2^(r*(x)) * 7^w has the one 2-exponent r*(x) + 3
+        (((2, ExpExpr(Lin.const_of(3))), (2, _R_X), (7, _W)), {"two": _R_X.shifted(3), "7": _W}, {},
+         _SPLIT_ACCEPTED),
     ],
-    ids=["offset", "no-offset", "product", "product-1"],
+    ids=["offset", "no-offset", "product", "product-1", "constant-and-scaled"],
 )
 def test_factor_split_bounds_a_symbol_scaled_part_by_the_sieve_rule(r, parts, lower_bounds, verdict):
     q = (5, _Y) if "two" in parts else (2, _Y)
@@ -474,6 +482,46 @@ def test_factor_split_rejects_a_prime_with_a_plain_and_a_scaled_exponent():
     # does not decompose; comparing the two exponents' keys once raised
     r = ((2, _Z), (2, ExpExpr(Lin.var("w"), "r")))
     assert _factor_split((3, _X), (5, _Y), r, {}) == ("$.tree", "exponent of 2 in R is not a supported shape")
+
+
+# 3^(2x) - 5^(2y) = 2^z * 7^w, split on the parts two: z and 7: w
+_TWO_AND_7 = ((3, _X), (5, _Y), ((2, _Z), (7, _W)), {"two": _Z, "7": _W}, {"z": 2})
+
+
+def test_partial_factor_split_takes_a_two_part():
+    assert _factor_split(*_TWO_AND_7, complete=False) == _SPLIT_ACCEPTED
+
+
+def _holds(child: Context, point: dict) -> bool:
+    """Are the divisibility facts and equations of a split's child true at the point?"""
+    for f in child.divisibilities:
+        p, q = (Term(1, (pw,)).evaluate(point) for pw in (f.p, f.q))
+        if (p - q if f.side == "-" else p + q) % f.divisor.evaluate(point):
+            return False
+    return all(sum(t.evaluate(point) for t in lhs) == sum(t.evaluate(point) for t in rhs)
+               for lhs, rhs in child.equations.values())
+
+
+@pytest.mark.parametrize("complete", [False, True], ids=["partial", "complete"])
+def test_factor_split_of_a_two_part_holds_in_one_case_at_a_solution(complete):
+    # 81 - 25 = 56 = 2^3 * 7 at (x, y, z, w) = (2, 1, 3, 1): F- = 4 = 2^(z-1)
+    # and F+ = 14 = 2 * 7^w, so only the case (two: -, 7: +) holds there
+    equation, tree = _split_json(*_TWO_AND_7, complete=complete)
+    cert = Certificate("factor split", equation, (), Node.from_json(tree))
+    children = engine._apply_factor_split(cert.tree.step, engine._initial_context(cert), "$.tree")
+    point = {"x": 2, "y": 1, "z": 3, "w": 1}
+    holding = [case["placement"] for case, child in zip(tree["step"]["cases"], children) if _holds(child, point)]
+    assert holding == [{"two": "-", "7": "+"}]
+
+
+@pytest.mark.parametrize("twice", [0, 1], ids=["two", "odd"])
+def test_factor_split_rejects_a_part_declared_twice(twice):
+    equation, tree = _split_json(*_TWO_AND_7)
+    assert _split_verdict(equation, tree) == _SPLIT_ACCEPTED
+    tree["step"]["parts"].append(tree["step"]["parts"][twice])
+    assert _split_verdict(equation, tree) == (
+        "$.tree", "cases must cover every placement of the declared parts exactly once"
+    )
 
 
 def test_factor_split_reads_a_square_and_R_through_the_normal_form():

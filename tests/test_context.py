@@ -254,6 +254,19 @@ def test_terms_equal_orders_a_plain_and_a_scaled_exponent_of_one_prime():
     assert not ctx.terms_equal([Term(1, (plain,))], [Term(1, (scaled,))])
 
 
+def test_terms_equal_folds_a_constant_exponent_into_its_primes_one_scaled_exponent():
+    ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence")
+    rx, sy = ExpExpr(Lin.var("x"), "r"), ExpExpr(Lin.var("y"), "s")
+    two = Power(2, ExpExpr(Lin.const_of(1)))
+    # 2 * 2^(r*(x)-1) is 2^(r*(x)), with the 2 as coefficient or as a power
+    assert ctx.terms_equal([Term(2, (Power(2, rx.shifted(-1)),))], [Term(1, (Power(2, rx),))])
+    assert ctx.terms_equal([Term(1, (Power(2, rx.shifted(-1)), two))], [Term(1, (Power(2, rx),))])
+    assert ctx.terms_equal([Term(24, (Power(2, rx),))], [Term(3, (Power(2, rx.shifted(3)),))])
+    # with two scaled exponents of one prime the constant stays apart
+    assert not ctx.terms_equal([Term(2, (Power(2, rx), Power(2, sy)))],
+                               [Term(1, (Power(2, rx.shifted(1)), Power(2, sy)))])
+
+
 def test_an_emptied_residue_set_implies_every_fact():
     ctx = Context(triple=None, k_min=1, excluded=(), equation_form="congruence").with_fact(Lin.var("x") - 1)
     assert not ctx.implied(Lin.var("x") - 2)

@@ -14,7 +14,7 @@ import pytest
 import jesma
 import jesma.cli  # noqa: F401  (loads every module that defines a record)
 from jesma.arith import Factorization
-from jesma.certificate.context import Context, DivisibilityFact, ProvenInequality, VerificationMemo
+from jesma.certificate.context import Context, DivisibilityFact, VerificationMemo
 from jesma.certificate.engine import Verdict
 from jesma.certificate.ineq import IneqClaim
 from jesma.certificate.model import Certificate, Node
@@ -29,7 +29,6 @@ from jesma.triples import Triple
 X, Y = Lin.var("x"), Lin.of(2, y=-3)
 EX, EY = ExpExpr(X), ExpExpr(Y, "r", 1)
 TX, TY = Term(5, (Power(2, EX),)), Term(-1, (Power(3, EY), Power(7, EX)))
-RCS = ResidueClassSet(17, ("x", "y"), (16, 16), frozenset({(0, 1), (3, 5)}))
 G, T = FORMS["general"], FORMS["terai"]
 
 # Per class, two samples of every field in order, which differ in each field.
@@ -57,8 +56,8 @@ SAMPLES = [
     (ResidueClassSet, dict(modulus=17, variables=("x", "y"), periods=(16, 16), tuples=frozenset({(0, 1)})),
      dict(modulus=5, variables=("z",), periods=(4,), tuples=frozenset())),
     (_EvalPower, dict(base=2, order=16, exp=EX, atom=None), dict(base=3, order=8, exp=EY, atom="r*(y)")),
-    (KillingWitness, dict(modulus=17, solutions=RCS, scanned=(2, 17), skipped=((4, "order too large"),)),
-     dict(modulus=None, solutions=None, scanned=(), skipped=())),
+    (KillingWitness, dict(modulus=17, scanned=(2, 17), skipped=((4, "order too large"),)),
+     dict(modulus=None, scanned=(), skipped=())),
     (Form, dict(letters="abc", scan=G.scan, holds=G.holds, equation="{a}^x", precondition=None, exponents=(0, 1, 2),
                 power=1),
      dict(letters="bc", scan=T.scan, holds=T.holds, equation="{b}^m", precondition=print, exponents=(1, 2),
@@ -95,7 +94,6 @@ SAMPLES = [
     (VerificationMemo, dict(refuted={(): True}, term_forms={}), dict(refuted={}, term_forms={TX: (1, ())})),
     (DivisibilityFact, dict(divisor=TX, side="-", p=Power(2, EX), q=Power(3, EY)),
      dict(divisor=TY, side="+", p=Power(3, EY), q=Power(2, EX))),
-    (ProvenInequality, dict(lhs=(TX,), rhs=(TY,), strict=True), dict(lhs=(TY,), rhs=(), strict=False)),
     (
         Context,
         dict(triple=Triple(20, 99, 101), k_min=2, excluded=((2, 2, 2),), equation_form="pythag-exp",

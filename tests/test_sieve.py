@@ -109,7 +109,6 @@ def test_merged_residue_modulus_is_bounded():
 def test_killing_modulus_is_17():
     w = find_killing_modulus(KILL_TERMS, ConstraintSet.none().with_parity("z", 0), m_max=100)
     assert w is not None and w.modulus == 17
-    assert w.solutions.is_empty()
     # every supported modulus below 17 was actually scanned and survived
     assert all(m < 17 for m in w.scanned[:-1])
     assert 17 in w.scanned
@@ -660,21 +659,21 @@ def _reference_scan(terms, constraints, m_max, order_cap=120):
             continue
         scanned.append(m)
         if rcs.is_empty():
-            return KillingWitness(m, rcs, tuple(scanned), tuple(skipped))
-    return KillingWitness(None, None, tuple(scanned), tuple(skipped))
+            return KillingWitness(m, tuple(scanned), tuple(skipped))
+    return KillingWitness(None, tuple(scanned), tuple(skipped))
 
 
 @pytest.mark.parametrize("m_max", [40, 200])
 @pytest.mark.parametrize("z_even", [False, True], ids=["any-z", "z-even"])
 def test_scan_record_matches_full_enumeration(m_max, z_even):
-    """The early-exit scan keeps the killer, every scanned and skipped
-    modulus with its message, and the killer's variables and periods."""
+    """The early-exit scan keeps the killer and every scanned and skipped
+    modulus with its message."""
     cons = ConstraintSet.none().with_parity("z", 0) if z_even else ConstraintSet.none()
     witness = find_killing_modulus(KILL_TERMS, cons, m_max=m_max)
     assert witness == _reference_scan(KILL_TERMS, cons, m_max)
     if z_even:
-        assert witness.modulus == 17 and witness.solutions.is_empty()
-        assert witness.solutions.variables == ("a", "b", "y", "z")
+        assert witness.modulus == 17
+        assert congruence_fold(KILL_TERMS, 17, cons).variables == ("a", "b", "y", "z")
     else:
         assert witness.modulus is None
         assert len(witness.scanned) == {40: 20, 200: 44}[m_max]
